@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port, 0 for ephemeral (default: 8642)")
     serve.add_argument("-j", "--jobs", type=int, default=2, metavar="N",
                        help="concurrent simulation jobs (default: 2); "
-                            ">= 2 runs each job in a worker process")
+                            ">= 2 runs them on a pool of N worker "
+                            "processes kept for the server's lifetime")
     serve.add_argument("--queue", type=int, default=64, metavar="N",
                        help="bounded engine work queue (default: 64)")
     serve.add_argument("--max-inflight", type=int, default=8, metavar="N",
@@ -161,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     warm.add_argument("--quick", action="store_true",
                       help="scaled-down configurations")
     warm.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                      help="concurrent warm jobs (default: 1)")
+                      help="concurrent warm jobs (default: 1); >= 2 "
+                           "runs them on a pool of N worker processes")
     warm.add_argument("--timeout", type=float, default=None, metavar="S",
                       help="per-job wall-clock limit (needs --jobs >= 2)")
     warm.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -312,13 +314,13 @@ def _cmd_serve(args) -> int:
 
     metrics = MetricsRegistry()
     # Dispatcher threads give request-level concurrency; with
-    # --jobs >= 2 the executor runs in pool mode so every dispatched
-    # job gets its own crash-isolated worker process (the simulations
-    # are CPU-bound pure Python, so threads alone would serialize).
+    # --jobs >= 2 they share one pool of --jobs crash-isolated worker
+    # processes (the simulations are CPU-bound pure Python, so threads
+    # alone would serialize).  The engine leaves the pool to us.
+    executor = PoolExecutor(jobs=args.jobs, timeout_s=args.timeout)
     engine = ServeEngine(
         store=None if args.no_cache else ResultStore(args.cache_dir),
-        executor=PoolExecutor(jobs=min(2, max(1, args.jobs)),
-                              timeout_s=args.timeout),
+        executor=executor,
         max_queue=args.queue,
         dispatchers=max(1, args.jobs),
         metrics=metrics)
@@ -327,15 +329,6 @@ def _cmd_serve(args) -> int:
         metrics=metrics)
     app = ServeApp(engine=engine, admission=admission, metrics=metrics,
                    request_timeout_s=args.request_timeout)
-
-    warm_ids = [t for spec in args.warm for t in spec.split(",") if t]
-    if warm_ids:
-        from repro.experiments import experiment_ids
-        if "all" in warm_ids:
-            warm_ids = experiment_ids()
-        report = warm(warm_ids, quick=not args.warm_full, engine=engine,
-                      stream=sys.stderr)
-        print(report.summary_text(), file=sys.stderr)
 
     async def serve_forever() -> None:
         await app.start(args.host, args.port)
@@ -353,10 +346,22 @@ def _cmd_serve(args) -> int:
         print("draining ...", file=sys.stderr)
         await app.shutdown()
 
+    warm_ids = [t for spec in args.warm for t in spec.split(",") if t]
     try:
-        asyncio.run(serve_forever())
-    except KeyboardInterrupt:  # pragma: no cover - non-signal platforms
-        pass
+        if warm_ids:
+            from repro.experiments import experiment_ids
+            if "all" in warm_ids:
+                warm_ids = experiment_ids()
+            report = warm(warm_ids, quick=not args.warm_full, engine=engine,
+                          stream=sys.stderr)
+            print(report.summary_text(), file=sys.stderr)
+        try:
+            asyncio.run(serve_forever())
+        except KeyboardInterrupt:  # pragma: no cover - non-signal platforms
+            pass
+    finally:
+        # After the engine drained (app.shutdown closes it).
+        executor.close()
     print("server stopped", file=sys.stderr)
     return 0
 

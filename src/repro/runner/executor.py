@@ -1,12 +1,26 @@
-"""Crash-isolated process-pool executor with a shared work queue.
+"""Crash-isolated executor over one long-lived worker-process pool.
 
-Workers pull ``(job_id, exp_id, kind, config)`` tuples off a queue,
-announce the job they picked up, run :func:`repro.runner.jobs.execute_job`
-and report the payload (or a formatted traceback) back.  The parent
-supervises: a worker that dies mid-job marks *that job* crashed — not
-the run — and is replaced; a job that exceeds the per-job timeout gets
-its worker killed the same way.  Respawns are budgeted so a job that
-crashes every worker cannot loop forever.
+In pool mode (``jobs >= 2``) an executor owns **one pool**: N worker
+processes, one task queue and one result queue.  The workers are forked
+lazily by the first :meth:`PoolExecutor.run` and serve every later call
+until :meth:`PoolExecutor.close` -- or until the executor is garbage
+collected, when a finaliser closes the pool for it.  Workers pull
+``(task_id, exp_id, kind, config)`` tuples off the task queue, announce
+the task they picked up, run :func:`repro.runner.jobs.execute_job` and
+report the payload (or a formatted traceback) back.
+
+One supervisor thread in the parent drains the result queue and hands
+each outcome to the ``run`` call that submitted the job.  It also reaps
+timeouts and crashes and respawns workers: a worker that dies mid-job
+marks *that job* crashed -- not the run -- and is replaced; a job that
+exceeds the per-job timeout gets its worker killed the same way.
+Respawns are budgeted so a job that crashes every worker cannot loop
+forever.  While no job is pending the supervisor blocks on the result
+queue and uses no CPU.
+
+Several threads may call ``run`` at once (the serve engine's dispatcher
+threads do): each call gets its own outcomes in input order, and its
+``on_outcome`` callback runs in the calling thread.
 
 Resilience (``retries`` > 0):
 
@@ -18,17 +32,26 @@ Resilience (``retries`` > 0):
   (status ``quarantined``) with every collected error, instead of being
   retried into a third worker.  Deterministic Python exceptions
   (status ``failed``) are never retried.
-* Each worker keeps a *blackbox* file: a per-job marker plus
+* Each worker keeps a *blackbox* file: a per-task marker plus
   :mod:`faulthandler` output and any last-gasp traceback.  When a
   worker dies the parent reads it back, so ``JobOutcome.error`` carries
   the child's final words rather than just an exit code.
 * If the OS refuses to spawn a replacement worker the pool shrinks and
-  carries on with fewer processes rather than aborting the run.
+  carries on with fewer processes rather than aborting the run; the
+  next ``run`` call tries the full size again.
 
 The pool uses the ``fork`` start method where available (Linux), which
 keeps in-process registry modifications — e.g. experiments registered by
-tests — visible to workers.  ``jobs <= 1`` executes inline in the parent
-(no isolation, no timeout) for debugging and determinism checks.
+tests — visible to workers.  Workers see the registry **as it was when
+they were forked**: register experiments before the first ``run``, or
+use a fresh executor.  ``jobs <= 1`` executes inline in the parent (no
+isolation, no timeout) for debugging and determinism checks.
+
+Right after the fork every worker points each inherited socket at
+``/dev/null`` (see :func:`_scrub_sockets`).  A worker forked by a server
+otherwise keeps a copy of every client connection open at that moment,
+and a connection whose response is already written does not reach EOF
+until all its copies are closed — for a long-lived worker, never.
 """
 
 from __future__ import annotations
@@ -40,11 +63,14 @@ import queue as queue_mod
 import random
 import shutil
 import signal
+import stat
 import tempfile
+import threading
 import time
 import traceback
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.jobs import JobSpec, execute_job
 
@@ -59,6 +85,9 @@ RETRYABLE_STATUSES = frozenset({"crashed", "timeout", "lost"})
 #: Worker kills (crash or timeout) a single job may cause before it is
 #: quarantined instead of retried.
 _QUARANTINE_KILLS = 2
+
+#: Result-queue message that only wakes the supervisor (new work, close).
+_WAKE = ("wake",)
 
 
 def backoff_delay(attempt: int, base_s: float,
@@ -94,8 +123,38 @@ class JobOutcome:
         return self.status == "ok"
 
 
+def _scrub_sockets() -> None:
+    """Point every inherited socket fd (past stdio) at ``/dev/null``.
+
+    ``dup2`` rather than ``close``: socket objects copied from the parent
+    still name these fd numbers, and a closed number could be reused by a
+    file the worker opens -- which collecting such an object would then
+    close.  Queue pipes and the blackbox are not sockets and stay.
+    Without ``/proc`` the fds are left alone.
+    """
+    devnull = -1
+    try:
+        # scandir keeps its own fd open while it iterates, so no stat
+        # raises on the normal path (a first OSError costs each worker
+        # about 0.3 MB of resident memory).
+        with os.scandir("/proc/self/fd") as entries:
+            for entry in entries:
+                fd = int(entry.name)
+                if fd <= 2 or not stat.S_ISSOCK(entry.stat().st_mode):
+                    continue
+                if devnull < 0:
+                    devnull = os.open(os.devnull, os.O_RDWR)
+                os.dup2(devnull, fd)
+    except OSError:
+        pass
+    finally:
+        if devnull >= 0:
+            os.close(devnull)
+
+
 def _worker_main(worker_id: int, task_q, result_q,
                  blackbox_dir: Optional[str] = None) -> None:
+    _scrub_sockets()
     blackbox = None
     if blackbox_dir is not None:
         try:
@@ -106,19 +165,22 @@ def _worker_main(worker_id: int, task_q, result_q,
         except OSError:
             blackbox = None
     while True:
-        item = task_q.get()
+        try:
+            item = task_q.get()
+        except KeyboardInterrupt:
+            return  # Ctrl-C while idle: the parent closes the pool
         if item is None:
             break
-        job_id, exp_id, kind, config = item
+        task_id, exp_id, kind, config = item
         if blackbox is not None:
             try:
                 blackbox.seek(0)
                 blackbox.truncate()
-                blackbox.write(f"job {job_id}\n")
+                blackbox.write(f"task {task_id}\n")
                 blackbox.flush()
             except OSError:
                 pass
-        result_q.put(("started", worker_id, job_id))
+        result_q.put(("started", worker_id, task_id))
         t0 = time.perf_counter()
         try:
             payload = execute_job(exp_id, kind, config)
@@ -130,45 +192,391 @@ def _worker_main(worker_id: int, task_q, result_q,
                     blackbox.flush()
                 except OSError:
                     pass
-            result_q.put(("failed", worker_id, job_id, tb,
+            result_q.put(("failed", worker_id, task_id, tb,
                           time.perf_counter() - t0))
             if not isinstance(exc, Exception):
                 raise  # SystemExit / KeyboardInterrupt: die, but reported
         else:
-            result_q.put(("done", worker_id, job_id, payload,
+            result_q.put(("done", worker_id, task_id, payload,
                           time.perf_counter() - t0))
 
 
-@dataclass
-class _PoolState:
-    """Book-keeping for one `_run_pool` invocation."""
+@dataclass(eq=False)
+class _Task:
+    """One job of one ``run`` call, followed across its attempts."""
 
-    by_id: Dict[str, JobSpec]
-    outcomes: Dict[str, JobOutcome] = field(default_factory=dict)
-    #: worker id -> (job id, started-at monotonic time)
-    in_flight: Dict[int, Tuple[str, float]] = field(default_factory=dict)
-    workers: Dict[int, mp.process.BaseProcess] = field(default_factory=dict)
-    started_ids: Set[str] = field(default_factory=set)
-    stall_polls: int = 0
-    #: job id -> retries consumed so far.
-    attempts: Dict[str, int] = field(default_factory=dict)
-    #: job id -> worker kills (crashes + timeouts) it caused.
-    kills: Dict[str, int] = field(default_factory=dict)
-    #: job id -> error text of every failed attempt, oldest first.
-    errors: Dict[str, List[str]] = field(default_factory=dict)
-    #: (ready-at monotonic time, job id) for jobs waiting out a backoff.
-    requeue: List[Tuple[float, str]] = field(default_factory=list)
+    job: JobSpec
+    #: Position in the submitting call's input.
+    index: int
+    #: The submitting call's outcome inbox: ``(index, JobOutcome)``.
+    inbox: "queue_mod.SimpleQueue"
+    started: bool = False
+    #: Retries consumed so far.
+    attempts: int = 0
+    #: Worker kills (crashes + timeouts) this job caused.
+    kills: int = 0
+    #: Error text of every failed attempt, oldest first.
+    errors: List[str] = field(default_factory=list)
+
+
+class _Pool:
+    """Workers, queues and supervisor thread behind one executor.
+
+    Everything below is guarded by ``_lock``.  Callers submit (forking
+    the workers their jobs need) and cancel; the supervisor thread
+    resolves outcomes, reaps and respawns.  The pool holds no reference
+    to its executor, so dropping the executor runs its finaliser
+    (:meth:`close`).
+    """
+
+    #: Supervisor poll interval for results / liveness / timeouts while
+    #: jobs are pending.
+    _POLL_S = 0.1
+    #: Consecutive idle polls with jobs pending but nothing in flight
+    #: before those jobs count as lost (covers the tiny window where a
+    #: worker dies between claiming a task and announcing it).
+    _STALL_POLLS = 20
+
+    def __init__(self, n_workers: int, timeout_s: Optional[float],
+                 retries: int, backoff_s: float,
+                 rand: Callable[[], float], ctx) -> None:
+        self.n_workers = n_workers
+        self.timeout_s = timeout_s
+        self.retries = retries
+        self.backoff_s = backoff_s
+        self._rand = rand
+        self._ctx = ctx
+        self._task_q = ctx.Queue()
+        self._result_q = ctx.Queue()
+        self._blackbox_dir = tempfile.mkdtemp(prefix="repro-pool-")
+        # Reentrant: a finaliser may run close() from a collection
+        # triggered inside the supervisor's own locked section.
+        self._lock = threading.RLock()
+        self._tasks: Dict[int, _Task] = {}
+        self._next_task_id = 0
+        self._workers: Dict[int, mp.process.BaseProcess] = {}
+        self._next_worker_id = 0
+        #: worker id -> (task id, started-at monotonic time)
+        self._in_flight: Dict[int, Tuple[int, float]] = {}
+        #: (ready-at monotonic time, task id) for jobs in backoff.
+        self._requeue: List[Tuple[float, int]] = []
+        # Active worker target; shrinks when the OS refuses a spawn.
+        self._cap = n_workers
+        # A worker may be respawned after every kill, but each job's
+        # kills are capped (quarantine), so a pathological job cannot
+        # spin the pool; every submitted job adds its share.
+        self._spawn_budget = n_workers
+        self._stall_polls = 0
+        self.closed = False
+        self._thread: Optional[threading.Thread] = None
+
+    # -- caller side ---------------------------------------------------
+
+    def submit(self, jobs: Sequence[JobSpec],
+               inbox: "queue_mod.SimpleQueue") -> List[int]:
+        """Queue ``jobs``; each outcome arrives in ``inbox``."""
+        with self._lock:
+            if self.closed:
+                raise RuntimeError("worker pool is closed")
+            task_ids = []
+            for index, job in enumerate(jobs):
+                task_id = self._next_task_id
+                self._next_task_id += 1
+                self._tasks[task_id] = _Task(job, index, inbox)
+                self._enqueue(task_id)
+                task_ids.append(task_id)
+            kills_per_job = _QUARANTINE_KILLS if self.retries else 1
+            self._spawn_budget += kills_per_job * len(jobs)
+            self._cap = self.n_workers
+            # Fork here rather than in the supervisor: a worker forked
+            # from a non-main thread carries that thread's stack and
+            # allocator arena, about 1 MB more resident memory each.
+            self._top_up()
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._supervise, daemon=True,
+                    name="repro-pool-supervisor")
+                self._thread.start()
+        self._result_q.put(_WAKE)
+        return task_ids
+
+    def cancel(self, task_ids: Sequence[int]) -> None:
+        """Forget jobs whose caller stopped waiting for them."""
+        with self._lock:
+            for task_id in task_ids:
+                self._tasks.pop(task_id, None)
+
+    def close(self) -> None:
+        """Stop the supervisor and the workers; idempotent.
+
+        Jobs still pending come back ``lost``.  Idle workers exit at
+        once; a busy one gets a few seconds before it is terminated.
+        """
+        with self._lock:
+            if self.closed:
+                return
+            self.closed = True
+            thread = self._thread
+        if thread is None:
+            self._shutdown()
+            return
+        self._result_q.put(_WAKE)
+        if thread is not threading.current_thread():
+            thread.join()
+
+    # -- supervisor ----------------------------------------------------
+
+    def _supervise(self) -> None:
+        try:
+            while True:
+                with self._lock:
+                    idle = not self._tasks
+                msgs = self._receive(None if idle else self._POLL_S)
+                with self._lock:
+                    if self.closed:
+                        return
+                    self._step(msgs)
+        finally:
+            with self._lock:
+                self.closed = True
+                self._fail_all("worker pool closed before this job "
+                               "completed")
+            self._shutdown()
+
+    def _receive(self, timeout: Optional[float]) -> List[tuple]:
+        """Block up to ``timeout`` (None: forever) for the first message,
+        then drain the queue dry."""
+        msgs: List[tuple] = []
+        try:
+            msgs.append(self._result_q.get(timeout=timeout))
+            while True:
+                msgs.append(self._result_q.get_nowait())
+        except queue_mod.Empty:
+            pass
+        return msgs
+
+    def _step(self, msgs: List[tuple]) -> None:
+        for msg in msgs:
+            self._handle(msg)
+        now = time.monotonic()
+        self._flush_requeue(now)
+        self._reap_timeouts(now)
+        self._reap_crashes(now)
+        self._top_up()
+        if self._tasks and not self._workers:
+            self._fail_all("worker pool exhausted its respawn budget "
+                           "before this job completed")
+        if msgs or not self._tasks or self._in_flight or self._requeue \
+                or not self._task_q.empty():
+            self._stall_polls = 0
+            return
+        self._stall_polls += 1
+        if self._stall_polls >= self._STALL_POLLS:
+            self._stall_polls = 0
+            # Route the orphans through retry (or finish them lost).
+            for task_id, task in list(self._tasks.items()):
+                self._resolve(task_id, JobOutcome(
+                    task.job, "lost",
+                    error="job was claimed but its worker vanished "
+                          "before reporting"))
+
+    def _handle(self, msg: tuple) -> None:
+        tag = msg[0]
+        if tag == "started":
+            _, wid, task_id = msg
+            self._in_flight[wid] = (task_id, time.monotonic())
+            task = self._tasks.get(task_id)
+            if task is not None:
+                task.started = True
+        elif tag in ("done", "failed"):
+            _, wid, task_id, data, elapsed = msg
+            self._in_flight.pop(wid, None)
+            task = self._tasks.get(task_id)
+            if task is None:
+                return  # e.g. already timed out, or its caller left
+            if tag == "done":
+                self._resolve(task_id, JobOutcome(
+                    task.job, "ok", payload=data, elapsed_s=elapsed))
+            else:
+                self._resolve(task_id, JobOutcome(
+                    task.job, "failed", error=data, elapsed_s=elapsed))
+
+    def _finish(self, task_id: int, out: JobOutcome) -> None:
+        task = self._tasks.pop(task_id)
+        out.attempts = task.attempts
+        task.inbox.put((task.index, out))
+
+    def _resolve(self, task_id: int, out: JobOutcome) -> None:
+        """Finish, retry, or quarantine one attempt's outcome."""
+        task = self._tasks[task_id]
+        if out.status in ("crashed", "timeout"):
+            task.kills += 1
+        if out.error:
+            task.errors.append(out.error)
+        if out.status not in RETRYABLE_STATUSES:
+            self._finish(task_id, out)
+        elif task.kills >= _QUARANTINE_KILLS:
+            self._finish(task_id, JobOutcome(
+                out.job, "quarantined",
+                error=(f"job killed its worker {task.kills} times and "
+                       f"was quarantined\n"
+                       + "\n--- earlier attempt ---\n".join(task.errors)),
+                elapsed_s=out.elapsed_s))
+        elif task.attempts >= self.retries:
+            self._finish(task_id, out)
+        else:
+            ready = time.monotonic() + backoff_delay(
+                task.attempts, self.backoff_s, self._rand)
+            task.attempts += 1
+            task.started = False
+            self._requeue.append((ready, task_id))
+
+    def _fail_all(self, reason: str) -> None:
+        for task_id, task in list(self._tasks.items()):
+            self._finish(task_id, JobOutcome(task.job, "lost",
+                                             error=reason))
+
+    def _enqueue(self, task_id: int) -> None:
+        job = self._tasks[task_id].job
+        self._task_q.put((task_id, job.exp_id, job.kind, dict(job.config)))
+
+    def _flush_requeue(self, now: float) -> None:
+        due = [item for item in self._requeue if item[0] <= now]
+        for item in due:
+            self._requeue.remove(item)
+            if item[1] in self._tasks:
+                self._enqueue(item[1])
+
+    def _reap_timeouts(self, now: float) -> None:
+        if not self.timeout_s:
+            return
+        for wid, (task_id, t0) in list(self._in_flight.items()):
+            if now - t0 <= self.timeout_s:
+                continue
+            proc = self._workers.pop(wid, None)
+            if proc is not None:
+                proc.terminate()
+                proc.join(1.0)
+            del self._in_flight[wid]
+            task = self._tasks.get(task_id)
+            if task is not None:
+                self._resolve(task_id, JobOutcome(
+                    task.job, "timeout",
+                    error=f"job exceeded --timeout {self.timeout_s:g}s",
+                    elapsed_s=now - t0))
+
+    def _reap_crashes(self, now: float) -> None:
+        dead = [wid for wid, proc in self._workers.items()
+                if not proc.is_alive()]
+        if not dead:
+            return
+        # A worker's last report reaches the pipe before its exit shows:
+        # take it first, so a job that did report is not called crashed.
+        for msg in self._receive(0):
+            self._handle(msg)
+        for wid in dead:
+            proc = self._workers.pop(wid)
+            held = self._in_flight.pop(wid, None)
+            if held is None:
+                continue
+            task_id, t0 = held
+            task = self._tasks.get(task_id)
+            if task is None:
+                continue
+            error = (f"worker process died "
+                     f"({self._describe_exit(proc.exitcode)}) "
+                     f"while running this job")
+            last_words = self._read_blackbox(wid, task_id)
+            if last_words:
+                error += f"\n-- worker blackbox --\n{last_words}"
+            self._resolve(task_id, JobOutcome(
+                task.job, "crashed", error=error, elapsed_s=now - t0))
+
+    def _top_up(self) -> None:
+        """Keep enough workers alive for the work that is left (queued
+        or backoff-waiting jobs count as unclaimed).  Idle workers stay:
+        the pool never shrinks on its own."""
+        unclaimed = sum(1 for task in self._tasks.values()
+                        if not task.started)
+        need = unclaimed + len(self._in_flight)
+        while len(self._workers) < min(self._cap, need) \
+                and self._spawn_budget > 0:
+            self._spawn()
+
+    def _spawn(self) -> None:
+        self._spawn_budget -= 1
+        wid = self._next_worker_id
+        self._next_worker_id += 1
+        proc = self._ctx.Process(target=_worker_main,
+                                 args=(wid, self._task_q, self._result_q,
+                                       self._blackbox_dir),
+                                 daemon=True)
+        try:
+            proc.start()
+        except OSError:
+            # Graceful degradation: the machine cannot host this many
+            # workers any more; run on with a smaller pool.
+            self._cap -= 1
+            return
+        self._workers[wid] = proc
+
+    def _read_blackbox(self, wid: int, task_id: int) -> Optional[str]:
+        """The worker's last words, minus the task marker line."""
+        try:
+            with open(os.path.join(self._blackbox_dir, f"worker-{wid}.log"),
+                      encoding="utf-8", errors="replace") as fh:
+                text = fh.read()
+        except OSError:
+            return None
+        marker = f"task {task_id}\n"
+        if text.startswith(marker):
+            text = text[len(marker):]
+        text = text.strip()
+        return text[-4000:] if text else None
+
+    @staticmethod
+    def _describe_exit(exitcode: Optional[int]) -> str:
+        if exitcode is not None and exitcode < 0:
+            try:
+                return (f"signal {signal.Signals(-exitcode).name} "
+                        f"({exitcode})")
+            except ValueError:
+                return f"signal {-exitcode} ({exitcode})"
+        return f"exit code {exitcode}"
+
+    def _shutdown(self) -> None:
+        # Drain undistributed tasks, then wave the workers home.
+        try:
+            while True:
+                self._task_q.get_nowait()
+        except (queue_mod.Empty, OSError):
+            pass
+        for _ in self._workers:
+            try:
+                self._task_q.put(None)
+            except (ValueError, OSError):  # pragma: no cover
+                break
+        deadline = time.monotonic() + 5.0
+        for proc in self._workers.values():
+            proc.join(max(0.1, deadline - time.monotonic()))
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(1.0)
+        self._workers.clear()
+        for q in (self._task_q, self._result_q):
+            q.cancel_join_thread()
+            q.close()
+        shutil.rmtree(self._blackbox_dir, ignore_errors=True)
 
 
 class PoolExecutor:
-    """Run jobs on N worker processes with crash and timeout isolation."""
+    """Run jobs on N worker processes with crash and timeout isolation.
 
-    #: Parent poll interval for results / liveness / timeouts.
-    _POLL_S = 0.1
-    #: Consecutive idle polls with nothing in flight before the parent
-    #: declares unresolved jobs lost (covers the tiny window where a
-    #: worker dies between claiming a task and announcing it).
-    _STALL_POLLS = 20
+    With ``jobs >= 2`` the workers form one long-lived pool shared by
+    every :meth:`run` call, from any thread, until :meth:`close`.  Use
+    it as a context manager, or call :meth:`close`; an executor dropped
+    without either is closed by a finaliser.
+    """
 
     def __init__(self, jobs: int = 1, timeout_s: Optional[float] = None,
                  context: Optional[mp.context.BaseContext] = None,
@@ -185,20 +593,64 @@ class PoolExecutor:
             except ValueError:  # pragma: no cover - non-fork platforms
                 context = mp.get_context()
         self._ctx = context
+        self._pool: Optional[_Pool] = None
+        self._pool_lock = threading.Lock()
+        self._finalizer: Optional[weakref.finalize] = None
 
     def run(self, jobs: Sequence[JobSpec],
             on_outcome: Optional[Callable[[JobOutcome], None]] = None,
             ) -> List[JobOutcome]:
         """Execute every job; returns outcomes in input order.
 
-        ``on_outcome`` is called in the parent as each job finishes.
+        ``on_outcome`` is called in the calling thread as each job
+        finishes.
         """
         if not jobs:
             return []
         if self.n_workers <= 1:
             return [self._run_inline(job, on_outcome) for job in jobs]
-        by_id = self._run_pool(jobs, on_outcome)
-        return [by_id[job.job_id] for job in jobs]
+        pool = self._live_pool()
+        inbox: "queue_mod.SimpleQueue" = queue_mod.SimpleQueue()
+        task_ids = pool.submit(jobs, inbox)
+        outs: List[Optional[JobOutcome]] = [None] * len(jobs)
+        pending = len(jobs)
+        try:
+            while pending:
+                index, out = inbox.get()
+                outs[index] = out
+                pending -= 1
+                if on_outcome is not None:
+                    on_outcome(out)
+        finally:
+            if pending:
+                pool.cancel(task_ids)
+        return outs
+
+    def close(self) -> None:
+        """Stop the worker pool (if one started); a later :meth:`run`
+        starts a fresh one."""
+        with self._pool_lock:
+            finalizer, self._finalizer = self._finalizer, None
+            self._pool = None
+        if finalizer is not None:
+            finalizer()
+
+    def __enter__(self) -> "PoolExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _live_pool(self) -> _Pool:
+        with self._pool_lock:
+            if self._pool is None or self._pool.closed:
+                if self._finalizer is not None:
+                    self._finalizer()
+                self._pool = _Pool(self.n_workers, self.timeout_s,
+                                   self.retries, self.backoff_s,
+                                   self._rand, self._ctx)
+                self._finalizer = weakref.finalize(self, self._pool.close)
+            return self._pool
 
     @staticmethod
     def _run_inline(job: JobSpec,
@@ -216,279 +668,3 @@ class PoolExecutor:
         if on_outcome is not None:
             on_outcome(out)
         return out
-
-    def _run_pool(self, jobs: Sequence[JobSpec],
-                  on_outcome: Optional[Callable[[JobOutcome], None]],
-                  ) -> Dict[str, JobOutcome]:
-        state = _PoolState(by_id={job.job_id: job for job in jobs})
-        task_q = self._ctx.Queue()
-        result_q = self._ctx.Queue()
-        blackbox_dir = tempfile.mkdtemp(prefix="repro-pool-")
-        for job in jobs:
-            task_q.put((job.job_id, job.exp_id, job.kind, dict(job.config)))
-
-        next_worker_id = 0
-        # Active worker target; shrinks when the OS refuses a respawn.
-        pool_cap = self.n_workers
-        # A worker may be respawned after every kill, but each job's
-        # kills are capped (quarantine), so a pathological job cannot
-        # spin the pool.
-        kills_per_job = _QUARANTINE_KILLS if self.retries else 1
-        spawn_budget = self.n_workers + kills_per_job * len(jobs)
-
-        def finish(out: JobOutcome) -> None:
-            out.attempts = state.attempts.get(out.job.job_id, 0)
-            state.outcomes[out.job.job_id] = out
-            if on_outcome is not None:
-                on_outcome(out)
-
-        def resolve(out: JobOutcome) -> bool:
-            """Finish, retry, or quarantine one attempt's outcome.
-
-            Returns True when the job was requeued for another attempt.
-            """
-            job_id = out.job.job_id
-            if out.status in ("crashed", "timeout"):
-                state.kills[job_id] = state.kills.get(job_id, 0) + 1
-            if out.error:
-                state.errors.setdefault(job_id, []).append(out.error)
-            if out.status not in RETRYABLE_STATUSES:
-                finish(out)
-                return False
-            if state.kills.get(job_id, 0) >= _QUARANTINE_KILLS:
-                history = state.errors.get(job_id, [])
-                finish(JobOutcome(
-                    out.job, "quarantined",
-                    error=(f"job killed its worker "
-                           f"{state.kills[job_id]} times and was "
-                           f"quarantined\n"
-                           + "\n--- earlier attempt ---\n".join(history)),
-                    elapsed_s=out.elapsed_s))
-                return False
-            used = state.attempts.get(job_id, 0)
-            if used >= self.retries:
-                finish(out)
-                return False
-            state.attempts[job_id] = used + 1
-            state.started_ids.discard(job_id)
-            ready = time.monotonic() + backoff_delay(used, self.backoff_s,
-                                                     self._rand)
-            state.requeue.append((ready, job_id))
-            return True
-
-        def spawn() -> None:
-            nonlocal next_worker_id, spawn_budget, pool_cap
-            if spawn_budget <= 0 or pool_cap <= 0:
-                return
-            spawn_budget -= 1
-            wid = next_worker_id
-            next_worker_id += 1
-            proc = self._ctx.Process(target=_worker_main,
-                                     args=(wid, task_q, result_q,
-                                           blackbox_dir),
-                                     daemon=True)
-            try:
-                proc.start()
-            except OSError:
-                # Graceful degradation: the machine cannot host this
-                # many workers any more; run on with a smaller pool.
-                pool_cap -= 1
-                return
-            state.workers[wid] = proc
-
-        for _ in range(min(self.n_workers, len(jobs))):
-            spawn()
-
-        try:
-            while len(state.outcomes) < len(jobs):
-                self._flush_requeue(state, task_q)
-                if self._drain_results(result_q, state, resolve):
-                    state.stall_polls = 0
-                    continue
-                now = time.monotonic()
-                self._reap_timeouts(now, state, resolve)
-                self._reap_crashes(now, state, resolve, blackbox_dir)
-                # Keep enough workers alive for the work that is left
-                # (queued or backoff-waiting jobs count as unclaimed).
-                unclaimed = sum(
-                    1 for jid in state.by_id
-                    if jid not in state.outcomes
-                    and jid not in state.started_ids)
-                want = min(pool_cap, unclaimed + len(state.in_flight))
-                while len(state.workers) < want and spawn_budget > 0 \
-                        and pool_cap > 0:
-                    spawn()
-                if not state.workers and len(state.outcomes) < len(jobs):
-                    self._mark_lost(state, finish,
-                                    "worker pool exhausted its respawn "
-                                    "budget before this job completed")
-                    break
-                if state.in_flight or state.requeue or not task_q.empty():
-                    state.stall_polls = 0
-                else:
-                    state.stall_polls += 1
-                    if state.stall_polls >= self._STALL_POLLS:
-                        if self._retry_stalled(state, resolve):
-                            state.stall_polls = 0
-                            continue
-                        self._mark_lost(state, finish,
-                                        "job was claimed but its worker "
-                                        "vanished before reporting")
-                        break
-        finally:
-            self._shutdown(task_q, result_q, state.workers)
-            shutil.rmtree(blackbox_dir, ignore_errors=True)
-        return state.outcomes
-
-    @staticmethod
-    def _flush_requeue(state: _PoolState, task_q) -> None:
-        if not state.requeue:
-            return
-        now = time.monotonic()
-        due = [(t, jid) for t, jid in state.requeue if t <= now]
-        for item in due:
-            state.requeue.remove(item)
-            job = state.by_id[item[1]]
-            task_q.put((job.job_id, job.exp_id, job.kind, dict(job.config)))
-
-    @staticmethod
-    def _retry_stalled(state: _PoolState, resolve) -> bool:
-        """Route stall-orphaned jobs through retry; True if any requeued."""
-        requeued = False
-        for job_id, job in state.by_id.items():
-            if job_id in state.outcomes:
-                continue
-            if resolve(JobOutcome(
-                    job, "lost",
-                    error="job was claimed but its worker vanished "
-                          "before reporting")):
-                requeued = True
-        return requeued
-
-    @staticmethod
-    def _mark_lost(state: _PoolState, finish, reason: str) -> None:
-        for job_id, job in state.by_id.items():
-            if job_id not in state.outcomes:
-                finish(JobOutcome(job, "lost", error=reason))
-
-    @staticmethod
-    def _drain_results(result_q, state: _PoolState, resolve) -> int:
-        """Process every queued worker message; returns #messages."""
-        drained = 0
-        while True:
-            try:
-                # Block briefly for the first message, then drain dry.
-                msg = result_q.get(timeout=PoolExecutor._POLL_S
-                                   if drained == 0 else 0)
-            except queue_mod.Empty:
-                return drained
-            drained += 1
-            tag = msg[0]
-            if tag == "started":
-                _, wid, job_id = msg
-                state.in_flight[wid] = (job_id, time.monotonic())
-                state.started_ids.add(job_id)
-            else:
-                _, wid, job_id, data, elapsed = msg
-                state.in_flight.pop(wid, None)
-                if job_id in state.outcomes:
-                    continue  # e.g. already marked timeout
-                job = state.by_id[job_id]
-                if tag == "done":
-                    resolve(JobOutcome(job, "ok", payload=data,
-                                       elapsed_s=elapsed))
-                else:
-                    resolve(JobOutcome(job, "failed", error=data,
-                                       elapsed_s=elapsed))
-
-    def _reap_timeouts(self, now: float, state: _PoolState,
-                       resolve) -> None:
-        if not self.timeout_s:
-            return
-        for wid, (job_id, t0) in list(state.in_flight.items()):
-            if now - t0 <= self.timeout_s:
-                continue
-            proc = state.workers.pop(wid, None)
-            if proc is not None:
-                proc.terminate()
-                proc.join(1.0)
-            state.in_flight.pop(wid, None)
-            if job_id not in state.outcomes:
-                resolve(JobOutcome(
-                    state.by_id[job_id], "timeout",
-                    error=f"job exceeded --timeout {self.timeout_s:g}s",
-                    elapsed_s=now - t0))
-
-    @staticmethod
-    def _read_blackbox(blackbox_dir: Optional[str], wid: int,
-                       job_id: str) -> Optional[str]:
-        """The worker's last words, minus the job marker line."""
-        if blackbox_dir is None:
-            return None
-        try:
-            with open(os.path.join(blackbox_dir, f"worker-{wid}.log"),
-                      encoding="utf-8", errors="replace") as fh:
-                text = fh.read()
-        except OSError:
-            return None
-        marker = f"job {job_id}\n"
-        if text.startswith(marker):
-            text = text[len(marker):]
-        text = text.strip()
-        return text[-4000:] if text else None
-
-    @staticmethod
-    def _describe_exit(exitcode: Optional[int]) -> str:
-        if exitcode is not None and exitcode < 0:
-            try:
-                return (f"signal {signal.Signals(-exitcode).name} "
-                        f"({exitcode})")
-            except ValueError:
-                return f"signal {-exitcode} ({exitcode})"
-        return f"exit code {exitcode}"
-
-    @staticmethod
-    def _reap_crashes(now: float, state: _PoolState, resolve,
-                      blackbox_dir: Optional[str] = None) -> None:
-        for wid, proc in list(state.workers.items()):
-            if proc.is_alive() or proc.exitcode in (0, None):
-                continue
-            state.workers.pop(wid)
-            held = state.in_flight.pop(wid, None)
-            if held is None:
-                continue
-            job_id, t0 = held
-            if job_id not in state.outcomes:
-                error = (f"worker process died "
-                         f"({PoolExecutor._describe_exit(proc.exitcode)}) "
-                         f"while running this job")
-                last_words = PoolExecutor._read_blackbox(
-                    blackbox_dir, wid, job_id)
-                if last_words:
-                    error += f"\n-- worker blackbox --\n{last_words}"
-                resolve(JobOutcome(
-                    state.by_id[job_id], "crashed", error=error,
-                    elapsed_s=now - t0))
-
-    @staticmethod
-    def _shutdown(task_q, result_q, workers) -> None:
-        # Drain undistributed tasks, then wave the workers home.
-        try:
-            while True:
-                task_q.get_nowait()
-        except (queue_mod.Empty, OSError):
-            pass
-        for _ in workers:
-            try:
-                task_q.put(None)
-            except (ValueError, OSError):  # pragma: no cover
-                break
-        deadline = time.monotonic() + 5.0
-        for proc in workers.values():
-            proc.join(max(0.1, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(1.0)
-        for q in (task_q, result_q):
-            q.cancel_join_thread()
-            q.close()

@@ -21,8 +21,11 @@ returned :class:`concurrent.futures.Future` via
 :func:`asyncio.wrap_future`, and synchronous callers (``repro warm``,
 tests) block on it directly.  ``PoolExecutor`` is safe to share here:
 with ``jobs <= 1`` it executes inline in the calling dispatcher thread,
-and with ``jobs >= 2`` each ``run`` call builds its own private worker
-pool, so concurrent dispatchers never share mutable executor state.
+and with ``jobs >= 2`` every dispatcher's ``run`` call goes to the same
+long-lived worker pool, whose ``run`` is thread-safe.  The engine does
+not own the executor: :meth:`ServeEngine.close` stops the dispatchers
+and leaves the pool to whoever built it (``repro serve`` and ``repro
+warm`` close it after the engine drained).
 """
 
 from __future__ import annotations
@@ -316,6 +319,7 @@ class ServeEngine:
 
         Queued jobs still run to completion (their futures resolve), so
         a graceful server shutdown never abandons an admitted request.
+        The executor is left open: its owner closes it.
         """
         with self._lock:
             if self._closed:

@@ -130,18 +130,18 @@ def main_warm(args) -> int:
               file=sys.stderr)
         return 2
     # Concurrency comes from the dispatcher threads; with --jobs >= 2
-    # the executor runs in pool mode, so each dispatched job gets its
-    # own crash-isolated worker process (pure-Python simulation is
-    # CPU-bound, so inline threads alone would serialize on the GIL).
-    engine = ServeEngine(
-        store=ResultStore(args.cache_dir),
-        executor=PoolExecutor(jobs=min(2, max(1, args.jobs)),
-                              timeout_s=args.timeout),
-        dispatchers=max(1, args.jobs))
+    # they share one pool of --jobs crash-isolated worker processes
+    # (pure-Python simulation is CPU-bound, so inline threads alone
+    # would serialize on the GIL).
+    executor = PoolExecutor(jobs=args.jobs, timeout_s=args.timeout)
+    engine = ServeEngine(store=ResultStore(args.cache_dir),
+                         executor=executor,
+                         dispatchers=max(1, args.jobs))
     try:
         report = warm(targets, quick=args.quick, engine=engine,
                       stream=sys.stderr)
     finally:
         engine.close()
+        executor.close()
     print(report.summary_text())
     return 0 if report.ok else 1
