@@ -18,6 +18,7 @@ from repro.apps.btio import (
     split_axis,
 )
 from repro.apps.astro import ASTConfig, run_ast
+from repro.apps.simulation import Simulation
 
 from repro.apps import scf11 as _scf11
 from repro.apps import scf30 as _scf30
@@ -56,5 +57,6 @@ __all__ = [
     "split_axis",
     "ASTConfig",
     "run_ast",
+    "Simulation",
     "ALL_METADATA",
 ]

@@ -243,6 +243,11 @@ def run_fft(machine_config: MachineConfig, config: FFTConfig,
     io_times: Dict[int, float] = {}
     procs = comm.spawn(_rank_program, config, interface, io_times)
     machine.env.run(machine.env.all_of(procs))
+    extra = {"total_io_bytes": float(config.total_io_bytes)}
+    if config.functional:
+        # Only read_result needs the file system; keeping it otherwise
+        # would hold the whole machine and make the result unpicklable.
+        extra["fs"] = fs  # type: ignore[assignment]
     return AppResult(
         app="fft",
         version=config.version,
@@ -251,8 +256,7 @@ def run_fft(machine_config: MachineConfig, config: FFTConfig,
         exec_time=machine.env.now,
         io_time_per_rank=io_times,
         trace=trace,
-        extra={"total_io_bytes": float(config.total_io_bytes),
-               "fs": fs},  # type: ignore[dict-item]
+        extra=extra,
     )
 
 

@@ -50,9 +50,11 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--refresh", action="store_true",
                         help="ignore cached results but store fresh ones")
     parser.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-job wall-clock limit (needs --jobs >= 2)")
+                        help="wall-clock limit on each task a worker runs: "
+                             "one simulation, or a job that yields none "
+                             "(needs --jobs >= 2)")
     parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry crashed/timed-out/lost jobs up to N "
+                        help="retry crashed/timed-out/lost tasks up to N "
                              "times (needs --jobs >= 2; default: 0)")
     parser.add_argument("--backoff", type=float, default=1.0, metavar="S",
                         help="base retry backoff in seconds, doubled per "
@@ -73,9 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the reproducible tables and figures")
 
-    run = sub.add_parser("run", help="run one experiment (or 'all')")
-    run.add_argument("experiment",
-                     help="experiment id (e.g. fig2, table4) or 'all'")
+    run = sub.add_parser("run", help="run experiments (or 'all')")
+    run.add_argument("experiments", nargs="+", metavar="EXPERIMENT",
+                     help="experiment ids (e.g. fig2 table4) or 'all'; "
+                          "one run shares the simulations they repeat")
     run.add_argument("--quick", action="store_true",
                      help="scaled-down configuration (seconds, not minutes)")
     _add_runner_args(run)
@@ -142,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request wall-clock limit -> 504 "
                             "(default: 120)")
     serve.add_argument("--timeout", type=float, default=None, metavar="S",
-                       help="per-job simulation limit (needs --jobs >= 2)")
+                       help="wall-clock limit on each simulation a worker "
+                            "runs (needs --jobs >= 2)")
     serve.add_argument("--no-cache", action="store_true",
                        help="compute every request, bypass the store")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -165,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="concurrent warm jobs (default: 1); >= 2 "
                            "runs them on a pool of N worker processes")
     warm.add_argument("--timeout", type=float, default=None, metavar="S",
-                      help="per-job wall-clock limit (needs --jobs >= 2)")
+                      help="wall-clock limit on each simulation a worker "
+                           "runs (needs --jobs >= 2)")
     warm.add_argument("--cache-dir", default=None, metavar="DIR",
                       help="cache root (default: .repro-cache or "
                            "$REPRO_CACHE_DIR)")
@@ -207,10 +212,11 @@ def _run_via_runner(targets: List[str], quick: bool, args):
     return report
 
 
-def _cmd_run(exp_id: str, quick: bool, args) -> int:
+def _cmd_run(exp_ids: List[str], quick: bool, args) -> int:
     from repro.experiments import EXPERIMENTS
 
-    targets = list(EXPERIMENTS) if exp_id == "all" else [exp_id]
+    targets = (list(EXPERIMENTS) if "all" in exp_ids
+               else list(dict.fromkeys(exp_ids)))
     unknown = [t for t in targets if t not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment {unknown[0]!r}; "
@@ -401,7 +407,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
-        return _cmd_run(args.experiment, args.quick, args)
+        return _cmd_run(args.experiments, args.quick, args)
     if args.command == "info":
         return _cmd_info()
     if args.command == "report":

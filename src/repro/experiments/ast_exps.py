@@ -1,10 +1,16 @@
-"""AST experiment: Table 4 (collective I/O for the astrophysics code)."""
+"""AST experiment: Table 4 (collective I/O for the astrophysics code).
+
+``table4`` is a program (:mod:`repro.experiments.programs`) that yields
+all of its independent runs at once: 4 at quick scale, 16 at full scale.
+"""
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.apps.astro import ASTConfig, run_ast
+from repro.apps.astro import ASTConfig
+from repro.apps.simulation import Simulation
+from repro.experiments.programs import program
 from repro.experiments.results import ExperimentResult, Series
 from repro.machine.presets import paragon_large
 
@@ -25,6 +31,7 @@ PAPER_TABLE4_OPT = {
 }
 
 
+@program
 def table4(quick: bool = False) -> ExperimentResult:
     """Table 4: AST with 16/64 I/O nodes, Chameleon vs two-phase.
 
@@ -41,17 +48,20 @@ def table4(quick: bool = False) -> ExperimentResult:
         paper_reference="Table 4 [e.g. P=16: 2557 s unopt vs 428 s opt on "
                         "16 I/O nodes]",
     )
-    values: Dict[Tuple[str, int, int], float] = {}
+    runs = [(version, n_io, p) for n_io in io_nodes for p in procs
+            for version in ("chameleon", "collective")]
+    results = yield [
+        Simulation("ast", paragon_large(n_compute=max(p, 4), n_io=n_io),
+                   ASTConfig(version=version, measured_dumps=dumps), p)
+        for version, n_io, p in runs]
+    values: Dict[Tuple[str, int, int], float] = {
+        run: res.exec_time for run, res in zip(runs, results)}
     for n_io in io_nodes:
         s_u = Series(f"unopt {n_io}io")
         s_o = Series(f"opt {n_io}io")
         for p in procs:
-            for version, series in [("chameleon", s_u), ("collective", s_o)]:
-                config = ASTConfig(version=version, measured_dumps=dumps)
-                res = run_ast(paragon_large(n_compute=max(p, 4), n_io=n_io),
-                              config, p)
-                series.add(p, res.exec_time)
-                values[(version, n_io, p)] = res.exec_time
+            s_u.add(p, values[("chameleon", n_io, p)])
+            s_o.add(p, values[("collective", n_io, p)])
         exp.series.extend([s_u, s_o])
 
     nio0 = io_nodes[0]

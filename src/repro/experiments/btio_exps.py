@@ -3,14 +3,18 @@
 Both figures follow the runner's sweep-point protocol (``*_points`` /
 ``*_run_point`` / ``*_assemble``); the plain ``fig6``/``fig7`` callables
 are the serial composition of the three and stay the registry entry
-points.
+points.  Both run points are programs yielding their simulation; every
+Figure-7 quick point is also a Figure-6 point, so the runner computes it
+once.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.apps.btio import BTIOConfig, run_btio
+from repro.apps.btio import BTIOConfig
+from repro.apps.simulation import Simulation
+from repro.experiments.programs import program
 from repro.experiments.results import ExperimentResult, Series
 from repro.machine.presets import sp2
 
@@ -23,10 +27,11 @@ _MB = 1024 * 1024
 _FIG6_VARIANTS = [("unoptimized", "unopt"), ("collective", "collective")]
 
 
-def _run(class_name: str, version: str, p: int, dumps: int):
+def _simulation(class_name: str, version: str, p: int,
+                dumps: int) -> Simulation:
     config = BTIOConfig(class_name=class_name, version=version,
                         measured_dumps=dumps)
-    return config, run_btio(sp2(n_compute=max(p, 4)), config, p)
+    return Simulation("btio", sp2(n_compute=max(p, 4)), config, p)
 
 
 def _fig6_params(quick: bool) -> Tuple[List[int], int]:
@@ -43,10 +48,11 @@ def fig6_points(quick: bool = False) -> List[dict]:
             for version, label in _FIG6_VARIANTS for p in procs]
 
 
+@program
 def fig6_run_point(point: dict) -> dict:
     """Simulate one Figure-6 configuration; returns a JSON-able payload."""
-    _, res = _run(point["class"], point["version"], point["p"],
-                  point["dumps"])
+    res = yield _simulation(point["class"], point["version"], point["p"],
+                            point["dumps"])
     return {**point, "io_time": res.io_time, "exec_time": res.exec_time}
 
 
@@ -133,11 +139,13 @@ def fig7_points(quick: bool = False) -> List[dict]:
     return points
 
 
+@program
 def fig7_run_point(point: dict) -> dict:
     """Simulate one Figure-7 configuration; returns a JSON-able payload."""
-    config, res = _run(point["class"], point["version"], point["p"],
-                       point["dumps"])
-    return {**point, "bw": res.bandwidth_mb_s(config.total_io_bytes)}
+    sim = _simulation(point["class"], point["version"], point["p"],
+                      point["dumps"])
+    res = yield sim
+    return {**point, "bw": res.bandwidth_mb_s(sim.config.total_io_bytes)}
 
 
 def fig7_assemble(point_results: Sequence[dict],

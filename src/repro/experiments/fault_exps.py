@@ -37,7 +37,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
+from repro.apps.btio import BTIOConfig
+from repro.apps.scf11 import SCF11Config, SCF11_INPUTS
+from repro.apps.simulation import Simulation
+from repro.experiments.programs import program
 from repro.experiments.results import ExperimentResult, Series
+from repro.machine.presets import paragon_small, sp2
 
 __all__ = ["fig_faults", "fig_faults_points", "fig_faults_run_point",
            "fig_faults_assemble", "FAULT_KINDS"]
@@ -120,28 +125,26 @@ def fig_faults_points(quick: bool = False) -> List[dict]:
     return points
 
 
+@program
 def fig_faults_run_point(point: dict) -> dict:
     """Simulate one fault-sweep configuration; returns a JSON-able payload."""
     if point["scenario"] == "scf":
-        from repro.apps.scf11 import SCF11Config, SCF11_INPUTS, run_scf11
-        from repro.machine.presets import paragon_small
-
         config = SCF11Config(n_basis=SCF11_INPUTS[point["input"]],
                              version=point["version"],
                              measured_read_iters=point["read_iters"])
-        res = run_scf11(paragon_small(n_compute=point["p"],
-                                      n_io=point["n_io"]),
-                        config, point["p"], fault_plan=point["plan"])
+        res = yield Simulation("scf11",
+                               paragon_small(n_compute=point["p"],
+                                             n_io=point["n_io"]),
+                               config, point["p"],
+                               fault_plan=point["plan"])
         return {**point, "exec_time": res.exec_time}
     if point["scenario"] == "btio":
-        from repro.apps.btio import BTIOConfig, run_btio
-        from repro.machine.presets import sp2
-
         config = BTIOConfig(class_name=point["class"],
                             version=point["version"],
                             measured_dumps=point["dumps"])
-        res = run_btio(sp2(n_compute=max(point["p"], 4)), config,
-                       point["p"], fault_plan=point["plan"])
+        res = yield Simulation("btio", sp2(n_compute=max(point["p"], 4)),
+                               config, point["p"],
+                               fault_plan=point["plan"])
         return {**point, "exec_time": res.exec_time,
                 "bw": res.bandwidth_mb_s(config.total_io_bytes)}
     raise ValueError(f"unknown fig_faults scenario {point['scenario']!r}")

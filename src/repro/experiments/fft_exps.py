@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.apps.fft2d import FFTConfig, run_fft
+from repro.apps.fft2d import FFTConfig
+from repro.apps.simulation import Simulation
+from repro.experiments.programs import program
 from repro.experiments.results import ExperimentResult, Series
 from repro.machine.presets import paragon_small
 
@@ -45,13 +47,15 @@ def fig5_points(quick: bool = False) -> List[dict]:
             for label, version, n_io in _VARIANTS for p in procs]
 
 
+@program
 def fig5_run_point(point: dict) -> dict:
     """Simulate one Figure-5 configuration; returns a JSON-able payload."""
     config = FFTConfig(n=point["n"], version=point["version"],
                        panel_memory_bytes=point["panel_memory_bytes"])
-    res = run_fft(paragon_small(n_compute=max(point["p"], 1),
-                                n_io=point["n_io"]),
-                  config, point["p"])
+    res = yield Simulation("fft",
+                           paragon_small(n_compute=max(point["p"], 1),
+                                         n_io=point["n_io"]),
+                           config, point["p"])
     return {**point, "io_time": res.io_time, "exec_time": res.exec_time}
 
 

@@ -15,8 +15,8 @@ from repro.experiments.ast_exps import table4
 from repro.experiments.summary_exps import table1, table5
 from repro.experiments.fault_exps import fig_faults
 
-__all__ = ["EXPERIMENTS", "ExperimentSuiteError", "run_experiment",
-           "run_all", "experiment_ids"]
+__all__ = ["EXPERIMENTS", "ExperimentSuiteError", "experiment",
+           "run_experiment", "run_all", "experiment_ids"]
 
 #: exp id -> callable(quick: bool) -> ExperimentResult
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
@@ -64,15 +64,19 @@ def experiment_ids() -> List[str]:
     return list(EXPERIMENTS)
 
 
-def run_experiment(exp_id: str, quick: bool = False) -> ExperimentResult:
-    """Run one registered experiment by id."""
+def experiment(exp_id: str) -> Callable[..., ExperimentResult]:
+    """The registered function of one experiment."""
     try:
-        fn = EXPERIMENTS[exp_id]
+        return EXPERIMENTS[exp_id]
     except KeyError:
         raise KeyError(
             f"unknown experiment {exp_id!r}; "
             f"known: {', '.join(EXPERIMENTS)}") from None
-    return fn(quick=quick)
+
+
+def run_experiment(exp_id: str, quick: bool = False) -> ExperimentResult:
+    """Run one registered experiment by id."""
+    return experiment(exp_id)(quick=quick)
 
 
 def run_all(quick: bool = True,

@@ -3,8 +3,11 @@
 The figure experiments follow the runner's sweep-point protocol
 (``*_points`` / ``*_run_point`` / ``*_assemble``); the plain
 ``fig1``/``fig2``/``fig3`` callables are the serial composition of the
-three and stay the registry entry points.  The table experiments are a
-single simulation each and are left whole.
+three and stay the registry entry points.  The table experiments stay
+whole: Table 2 is one simulation, Table 3 two (its original-version run
+is Table 2's).  Every function that simulates is a program yielding its
+simulations (:mod:`repro.experiments.programs`), so the runner can share
+those runs between experiments.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.scf11 import SCF11Config, SCF11_INPUTS, run_scf11
+from repro.apps.scf11 import SCF11Config, SCF11_INPUTS
+from repro.apps.simulation import Simulation
+from repro.experiments.programs import program
 from repro.experiments.results import ExperimentResult, Series
 from repro.machine.params import KB
 from repro.machine.presets import paragon_large
@@ -56,9 +61,8 @@ FIG1_TUPLES = [
 ]
 
 
-def run_tuple(tup: ConfigTuple, n_basis: int,
-              measured_read_iters: Optional[int] = 2):
-    """Run one Figure-1 configuration; returns the AppResult."""
+def _tuple_simulation(tup: ConfigTuple, n_basis: int,
+                      measured_read_iters: Optional[int]) -> Simulation:
     config = SCF11Config(
         n_basis=n_basis,
         version=_VERSIONS[tup.version],
@@ -67,17 +71,27 @@ def run_tuple(tup: ConfigTuple, n_basis: int,
     )
     machine = paragon_large(n_compute=max(tup.n_procs, 4), n_io=tup.n_io,
                             stripe_unit=tup.stripe_kb * KB)
-    return run_scf11(machine, config, tup.n_procs)
+    return Simulation("scf11", machine, config, tup.n_procs)
 
 
-def _summary_table(version: str, measured_read_iters: int):
+def run_tuple(tup: ConfigTuple, n_basis: int,
+              measured_read_iters: Optional[int] = 2):
+    """Run one Figure-1 configuration; returns the AppResult."""
+    return _tuple_simulation(tup, n_basis, measured_read_iters).run()
+
+
+def _summary_simulation(version: str, measured_read_iters: int
+                        ) -> Simulation:
     config = SCF11Config(n_basis=SCF11_INPUTS["LARGE"], version=version,
                          measured_read_iters=measured_read_iters)
-    result = run_scf11(paragon_large(n_compute=4, n_io=12), config, 4)
+    return Simulation("scf11", paragon_large(n_compute=4, n_io=12),
+                      config, 4)
+
+
+def _summary(result):
     # The paper's tables aggregate per-op times over all 4 processors
     # against the (wall) execution time.
-    summary = summarize(result.trace, result.exec_time * 4)
-    return result, summary
+    return summarize(result.trace, result.exec_time * 4)
 
 
 #: Paper values for shape checks: (reads, read GB, read % of I/O time).
@@ -88,10 +102,12 @@ _TABLE3_PAPER = dict(reads=566_330, read_gb=37.0, read_pct=95.38,
                      seeks=604_342)
 
 
+@program
 def table2(quick: bool = False) -> ExperimentResult:
     """Table 2: I/O summary of the original SCF 1.1, LARGE, 4 procs."""
     miters = 1 if quick else 3
-    result, summary = _summary_table("original", miters)
+    result = yield _summary_simulation("original", miters)
+    summary = _summary(result)
     exp = ExperimentResult(
         exp_id="table2",
         title="SCF 1.1 original version I/O summary (LARGE, 4 procs)",
@@ -115,11 +131,14 @@ def table2(quick: bool = False) -> ExperimentResult:
     return exp
 
 
+@program
 def table3(quick: bool = False) -> ExperimentResult:
     """Table 3: I/O summary of the PASSION SCF 1.1, LARGE, 4 procs."""
     miters = 1 if quick else 3
-    orig_result, orig_summary = _summary_table("original", miters)
-    pas_result, pas_summary = _summary_table("passion", miters)
+    orig_result, pas_result = yield [
+        _summary_simulation("original", miters),
+        _summary_simulation("passion", miters)]
+    orig_summary, pas_summary = _summary(orig_result), _summary(pas_result)
     exp = ExperimentResult(
         exp_id="table3",
         title="SCF 1.1 PASSION version I/O summary (LARGE, 4 procs)",
@@ -163,10 +182,12 @@ def fig1_points(quick: bool = False) -> List[dict]:
             for idx, tup in enumerate(FIG1_TUPLES)]
 
 
+@program
 def fig1_run_point(point: dict) -> dict:
     """Simulate one Figure-1 configuration; returns a JSON-able payload."""
-    res = run_tuple(FIG1_TUPLES[point["tuple_index"]], point["n_basis"],
-                    measured_read_iters=point["measured_read_iters"])
+    res = yield _tuple_simulation(FIG1_TUPLES[point["tuple_index"]],
+                                  point["n_basis"],
+                                  point["measured_read_iters"])
     return {**point, "exec_time": res.exec_time, "io_time": res.io_time}
 
 
@@ -235,6 +256,17 @@ def _fig2_params(quick: bool) -> Tuple[int, List[int], int]:
     return n_basis, procs, miters
 
 
+def _scaling_simulation(point: dict, version: str) -> Simulation:
+    """A Figure-2/3 point's run; the two figures share their
+    original-version points on 16 and 64 I/O nodes."""
+    config = SCF11Config(n_basis=point["n_basis"], version=version,
+                         measured_read_iters=point["measured_read_iters"])
+    return Simulation("scf11",
+                      paragon_large(n_compute=max(point["p"], 4),
+                                    n_io=point["n_io"]),
+                      config, point["p"])
+
+
 def fig2_points(quick: bool = False) -> List[dict]:
     """Figure 2's sweep points as declared config dicts."""
     n_basis, procs, miters = _fig2_params(quick)
@@ -243,13 +275,10 @@ def fig2_points(quick: bool = False) -> List[dict]:
             for label, version, n_io in _FIG2_VARIANTS for p in procs]
 
 
+@program
 def fig2_run_point(point: dict) -> dict:
     """Simulate one Figure-2 configuration; returns a JSON-able payload."""
-    config = SCF11Config(n_basis=point["n_basis"], version=point["version"],
-                         measured_read_iters=point["measured_read_iters"])
-    res = run_scf11(paragon_large(n_compute=max(point["p"], 4),
-                                  n_io=point["n_io"]),
-                    config, point["p"])
+    res = yield _scaling_simulation(point, point["version"])
     return {**point, "exec_time": res.exec_time}
 
 
@@ -327,13 +356,10 @@ def fig3_points(quick: bool = False) -> List[dict]:
             for n_io in (12, 16, 64) for p in procs]
 
 
+@program
 def fig3_run_point(point: dict) -> dict:
     """Simulate one Figure-3 configuration; returns a JSON-able payload."""
-    config = SCF11Config(n_basis=point["n_basis"], version="original",
-                         measured_read_iters=point["measured_read_iters"])
-    res = run_scf11(paragon_large(n_compute=max(point["p"], 4),
-                                  n_io=point["n_io"]),
-                    config, point["p"])
+    res = yield _scaling_simulation(point, "original")
     return {**point, "io_time": res.io_time}
 
 

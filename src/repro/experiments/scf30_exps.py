@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.apps.scf30 import SCF30Config, run_scf30
+from repro.apps.scf30 import SCF30Config
+from repro.apps.simulation import Simulation
+from repro.experiments.programs import program
 from repro.experiments.results import ExperimentResult, Series
 from repro.machine.presets import paragon_large
 
@@ -32,13 +34,15 @@ def fig4_points(quick: bool = False) -> List[dict]:
             for n_io in io_nodes for p in procs for f in fractions]
 
 
+@program
 def fig4_run_point(point: dict) -> dict:
     """Simulate one Figure-4 configuration; returns a JSON-able payload."""
     config = SCF30Config(cached_fraction=point["cached_fraction"],
                          measured_read_iters=point["measured_read_iters"])
-    res = run_scf30(paragon_large(n_compute=max(point["p"], 4),
-                                  n_io=point["n_io"]),
-                    config, point["p"])
+    res = yield Simulation("scf30",
+                           paragon_large(n_compute=max(point["p"], 4),
+                                         n_io=point["n_io"]),
+                           config, point["p"])
     return {**point, "exec_time": res.exec_time}
 
 

@@ -6,11 +6,13 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.apps import ALL_METADATA
-from repro.apps.astro import ASTConfig, run_ast
-from repro.apps.btio import BTIOConfig, run_btio
-from repro.apps.fft2d import FFTConfig, run_fft
-from repro.apps.scf11 import SCF11Config, SCF11_INPUTS, run_scf11
-from repro.apps.scf30 import SCF30Config, run_scf30
+from repro.apps.astro import ASTConfig
+from repro.apps.btio import BTIOConfig
+from repro.apps.fft2d import FFTConfig
+from repro.apps.scf11 import SCF11Config, SCF11_INPUTS
+from repro.apps.scf30 import SCF30Config
+from repro.apps.simulation import Simulation
+from repro.experiments.programs import program
 from repro.experiments.results import ExperimentResult
 from repro.machine.presets import paragon_large, paragon_small, sp2
 
@@ -51,81 +53,78 @@ def _improvement(base: float, better: float) -> float:
     return (base - better) / base if base > 0 else 0.0
 
 
+@program
 def measure_effectiveness(quick: bool = True) -> Dict[str, Dict[str, float]]:
     """Measure each candidate optimization's exec-time improvement per app.
 
     Returns {app: {optimization: fractional improvement}}.  Only the
     optimizations the paper actually tried per app are measured (it never
-    ran, e.g., collective I/O on SCF's private files).
+    ran, e.g., collective I/O on SCF's private files).  The runs are
+    independent, so they are requested in one yield; at quick scale the
+    SCF 3.0, BTIO and AST pairs are also Figure-4, Figure-6 and Table-4
+    runs.
     """
-    out: Dict[str, Dict[str, float]] = {k: {} for k in PAPER_TABLE5}
-
     # SCF 1.1: efficient interface (O->P) and prefetching (P->F).
     n_basis = SCF11_INPUTS["SMALL" if quick else "MEDIUM"]
     miters = 1 if quick else 2
     scf_machine = paragon_large(n_compute=8, n_io=12)
-    runs = {}
-    for ver in ("original", "passion", "prefetch"):
-        cfg = SCF11Config(n_basis=n_basis, version=ver,
-                          measured_read_iters=miters)
-        runs[ver] = run_scf11(scf_machine.with_(), cfg, 8).exec_time
-    out["scf11"]["efficient interface"] = _improvement(
-        runs["original"], runs["passion"])
-    out["scf11"]["prefetching"] = _improvement(
-        runs["passion"], runs["prefetch"])
+    scf11 = [Simulation("scf11", scf_machine,
+                        SCF11Config(n_basis=n_basis, version=ver,
+                                    measured_read_iters=miters), 8)
+             for ver in ("original", "passion", "prefetch")]
 
     # SCF 3.0: balanced I/O = picking a good cached fraction vs a bad one;
     # interface/prefetch carry over from 1.1 (same I/O machinery).
     p30 = 16 if quick else 32
-    cfg_bad = SCF30Config(cached_fraction=0.0, measured_read_iters=miters)
-    cfg_good = SCF30Config(cached_fraction=1.0, measured_read_iters=miters)
-    t_bad = run_scf30(paragon_large(n_compute=p30, n_io=16), cfg_bad,
-                      p30).exec_time
-    t_good = run_scf30(paragon_large(n_compute=p30, n_io=16), cfg_good,
-                       p30).exec_time
-    out["scf30"]["balanced I/O"] = _improvement(t_bad, t_good)
-    out["scf30"]["efficient interface"] = out["scf11"]["efficient interface"]
-    out["scf30"]["prefetching"] = out["scf11"]["prefetching"]
+    scf30 = [Simulation("scf30", paragon_large(n_compute=p30, n_io=16),
+                        SCF30Config(cached_fraction=fraction,
+                                    measured_read_iters=miters), p30)
+             for fraction in (0.0, 1.0)]
 
     # FFT: file layout.  Panel memory scales with n so the run stays
     # genuinely out-of-core at test sizes.
     n = 512 if quick else 2048
     panel_mem = max(64 * 1024, n * n * 16 // 32)
-    t_u = run_fft(paragon_small(n_compute=4, n_io=2),
-                  FFTConfig(n=n, version="unoptimized",
-                            panel_memory_bytes=panel_mem), 4).exec_time
-    t_l = run_fft(paragon_small(n_compute=4, n_io=2),
-                  FFTConfig(n=n, version="layout",
-                            panel_memory_bytes=panel_mem), 4).exec_time
-    out["fft"]["file layout"] = _improvement(t_u, t_l)
+    fft = [Simulation("fft", paragon_small(n_compute=4, n_io=2),
+                      FFTConfig(n=n, version=version,
+                                panel_memory_bytes=panel_mem), 4)
+           for version in ("unoptimized", "layout")]
 
     # BTIO: collective I/O.
     p_bt = 16 if quick else 36
     dumps = 1 if quick else 2
-    t_u = run_btio(sp2(p_bt), BTIOConfig(version="unoptimized",
-                                         measured_dumps=dumps),
-                   p_bt).exec_time
-    t_c = run_btio(sp2(p_bt), BTIOConfig(version="collective",
-                                         measured_dumps=dumps),
-                   p_bt).exec_time
-    out["btio"]["collective I/O"] = _improvement(t_u, t_c)
+    btio = [Simulation("btio", sp2(p_bt),
+                       BTIOConfig(version=version, measured_dumps=dumps),
+                       p_bt)
+            for version in ("unoptimized", "collective")]
 
     # AST: collective I/O.
     p_ast = 16 if quick else 32
-    t_u = run_ast(paragon_large(n_compute=p_ast, n_io=16),
-                  ASTConfig(version="chameleon", measured_dumps=1),
-                  p_ast).exec_time
-    t_c = run_ast(paragon_large(n_compute=p_ast, n_io=16),
-                  ASTConfig(version="collective", measured_dumps=1),
-                  p_ast).exec_time
-    out["ast"]["collective I/O"] = _improvement(t_u, t_c)
+    ast = [Simulation("ast", paragon_large(n_compute=p_ast, n_io=16),
+                      ASTConfig(version=version, measured_dumps=1), p_ast)
+           for version in ("chameleon", "collective")]
+
+    results = yield scf11 + scf30 + fft + btio + ast
+    (t_orig, t_passion, t_prefetch, t_uncached, t_cached, t_fft, t_layout,
+     t_btio, t_btio_coll, t_ast, t_ast_coll) = (
+        res.exec_time for res in results)
+    out: Dict[str, Dict[str, float]] = {k: {} for k in PAPER_TABLE5}
+    out["scf11"]["efficient interface"] = _improvement(t_orig, t_passion)
+    out["scf11"]["prefetching"] = _improvement(t_passion, t_prefetch)
+    out["scf30"]["balanced I/O"] = _improvement(t_uncached, t_cached)
+    out["scf30"]["efficient interface"] = out["scf11"]["efficient interface"]
+    out["scf30"]["prefetching"] = out["scf11"]["prefetching"]
+    out["fft"]["file layout"] = _improvement(t_fft, t_layout)
+    out["btio"]["collective I/O"] = _improvement(t_btio, t_btio_coll)
+    out["ast"]["collective I/O"] = _improvement(t_ast, t_ast_coll)
     return out
 
 
+@program
 def table5(quick: bool = False) -> ExperimentResult:
     """Table 5: effective optimization techniques per application,
     derived by thresholding measured improvements."""
-    measured = measure_effectiveness(quick=quick)
+    measured = yield from measure_effectiveness.program(quick=quick)
     exp = ExperimentResult(
         exp_id="table5",
         title="Applications and effective optimization techniques",

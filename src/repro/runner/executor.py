@@ -1,34 +1,50 @@
 """Crash-isolated executor over one long-lived worker-process pool.
 
+The executor's unit of work is the **task**, not the job.  ``run``
+drives each job as a program (:func:`repro.runner.jobs.job_program`)
+in the calling thread: the program yields tasks -- the simulations its
+experiment asks for, or the whole job when its function has no program
+form -- and the executor runs each distinct task once.  A task already
+finished within the same ``run`` call, or still running for any caller,
+is shared rather than rerun; every job that asked for it gets its
+result.  Tasks are dispatched in first-request order.
+
+A job is ``ok`` when all its tasks and its own code succeed.  Otherwise
+it takes the status and error of the first of its tasks that failed, or
+is ``failed`` with the traceback of its own code.  Its ``elapsed_s``
+and ``attempts`` are summed over the tasks it used, a shared task
+counting for every job that used it, so ``elapsed_s`` stays the cost of
+recomputing that job alone.
+
 In pool mode (``jobs >= 2``) an executor owns **one pool**: N worker
 processes, one task queue and one result queue.  The workers are forked
 lazily by the first :meth:`PoolExecutor.run` and serve every later call
 until :meth:`PoolExecutor.close` -- or until the executor is garbage
 collected, when a finaliser closes the pool for it.  Workers pull
-``(task_id, exp_id, kind, config)`` tuples off the task queue, announce
-the task they picked up, run :func:`repro.runner.jobs.execute_job` and
-report the payload (or a formatted traceback) back.
+``(task_id, task)`` tuples off the task queue, announce the task they
+picked up, call its ``run()`` and report the pickled result (or a
+formatted traceback) back.
 
 One supervisor thread in the parent drains the result queue and hands
-each outcome to the ``run`` call that submitted the job.  It also reaps
-timeouts and crashes and respawns workers: a worker that dies mid-job
-marks *that job* crashed -- not the run -- and is replaced; a job that
-exceeds the per-job timeout gets its worker killed the same way.
-Respawns are budgeted so a job that crashes every worker cannot loop
-forever.  While no job is pending the supervisor blocks on the result
+each task's outcome to every ``run`` call waiting for it.  It also
+reaps timeouts and crashes and respawns workers: a worker that dies
+mid-task marks *that task* crashed -- not the run -- and is replaced; a
+task that exceeds the timeout gets its worker killed the same way.
+Respawns are budgeted so a task that crashes every worker cannot loop
+forever.  While no task is pending the supervisor blocks on the result
 queue and uses no CPU.
 
 Several threads may call ``run`` at once (the serve engine's dispatcher
 threads do): each call gets its own outcomes in input order, and its
 ``on_outcome`` callback runs in the calling thread.
 
-Resilience (``retries`` > 0):
+Resilience applies per task (``retries`` > 0):
 
-* Jobs whose outcome is ``crashed``, ``timeout`` or ``lost`` are
+* Tasks whose outcome is ``crashed``, ``timeout`` or ``lost`` are
   requeued up to ``retries`` times, after an exponential backoff with
   jitter (:func:`backoff_delay`) — transient faults (OOM kills, machine
   hiccups) heal themselves without rerunning the whole sweep.
-* A *poisoned* job — one that kills its worker twice — is quarantined
+* A *poisoned* task — one that kills its worker twice — is quarantined
   (status ``quarantined``) with every collected error, instead of being
   retried into a third worker.  Deterministic Python exceptions
   (status ``failed``) are never retried.
@@ -44,8 +60,9 @@ The pool uses the ``fork`` start method where available (Linux), which
 keeps in-process registry modifications — e.g. experiments registered by
 tests — visible to workers.  Workers see the registry **as it was when
 they were forked**: register experiments before the first ``run``, or
-use a fresh executor.  ``jobs <= 1`` executes inline in the parent (no
-isolation, no timeout) for debugging and determinism checks.
+use a fresh executor.  ``jobs <= 1`` runs the tasks inline in the
+parent (no isolation, no timeout), with the same order and sharing, for
+debugging and determinism checks.
 
 Right after the fork every worker points each inherited socket at
 ``/dev/null`` (see :func:`_scrub_sockets`).  A worker forked by a server
@@ -56,9 +73,11 @@ until all its copies are closed — for a long-lived worker, never.
 
 from __future__ import annotations
 
+import collections
 import faulthandler
 import multiprocessing as mp
 import os
+import pickle
 import queue as queue_mod
 import random
 import shutil
@@ -70,19 +89,20 @@ import time
 import traceback
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
-from repro.runner.jobs import JobSpec, execute_job
+from repro.runner.jobs import JobSpec, WholeJob, job_program
 
 __all__ = ["JobOutcome", "PoolExecutor", "RETRYABLE_STATUSES",
-           "backoff_delay"]
+           "TaskOutcome", "backoff_delay"]
 
-#: Outcome statuses eligible for retry: the machine, not the job's own
+#: Outcome statuses eligible for retry: the machine, not the task's own
 #: code, is the suspect.  ``failed`` (a reported Python exception) is
 #: deterministic and never retried.
 RETRYABLE_STATUSES = frozenset({"crashed", "timeout", "lost"})
 
-#: Worker kills (crash or timeout) a single job may cause before it is
+#: Worker kills (crash or timeout) a single task may cause before it is
 #: quarantined instead of retried.
 _QUARANTINE_KILLS = 2
 
@@ -115,7 +135,28 @@ class JobOutcome:
     error: Optional[str] = None
     elapsed_s: float = 0.0
     cached: bool = False
-    #: Retries this job consumed before reaching its final status.
+    #: Retries the job's tasks consumed before reaching their status.
+    attempts: int = 0
+    #: Simulations this job was the first in its ``run`` call to ask for.
+    sims_run: int = 0
+    #: Simulations it asked for that another job of the call asked for
+    #: first, and so got without running them again.
+    sims_shared: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+
+@dataclass
+class TaskOutcome:
+    """What happened to one task (a simulation or a whole job)."""
+
+    status: str          # ok | failed | crashed | timeout | lost | quarantined
+    value: object = None
+    error: Optional[str] = None
+    elapsed_s: float = 0.0
+    #: Retries this task consumed before reaching its final status.
     attempts: int = 0
 
     @property
@@ -171,7 +212,7 @@ def _worker_main(worker_id: int, task_q, result_q,
             return  # Ctrl-C while idle: the parent closes the pool
         if item is None:
             break
-        task_id, exp_id, kind, config = item
+        task_id, task = item
         if blackbox is not None:
             try:
                 blackbox.seek(0)
@@ -183,7 +224,9 @@ def _worker_main(worker_id: int, task_q, result_q,
         result_q.put(("started", worker_id, task_id))
         t0 = time.perf_counter()
         try:
-            payload = execute_job(exp_id, kind, config)
+            # Pickled here so an unpicklable result fails its task
+            # rather than vanishing in the queue's feeder thread.
+            data = pickle.dumps(task.run(), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:
             tb = traceback.format_exc()
             if blackbox is not None:
@@ -197,23 +240,24 @@ def _worker_main(worker_id: int, task_q, result_q,
             if not isinstance(exc, Exception):
                 raise  # SystemExit / KeyboardInterrupt: die, but reported
         else:
-            result_q.put(("done", worker_id, task_id, payload,
+            result_q.put(("done", worker_id, task_id, data,
                           time.perf_counter() - t0))
 
 
 @dataclass(eq=False)
 class _Task:
-    """One job of one ``run`` call, followed across its attempts."""
+    """One distinct task in the pool, followed across its attempts."""
 
-    job: JobSpec
-    #: Position in the submitting call's input.
-    index: int
-    #: The submitting call's outcome inbox: ``(index, JobOutcome)``.
-    inbox: "queue_mod.SimpleQueue"
+    key: str
+    #: What a worker runs: an object with a ``run()`` method.
+    task: object
+    #: Outcome inboxes of the ``run`` calls waiting for this task; each
+    #: gets ``(key, TaskOutcome)``.
+    inboxes: List["queue_mod.SimpleQueue"]
     started: bool = False
     #: Retries consumed so far.
     attempts: int = 0
-    #: Worker kills (crashes + timeouts) this job caused.
+    #: Worker kills (crashes + timeouts) this task caused.
     kills: int = 0
     #: Error text of every failed attempt, oldest first.
     errors: List[str] = field(default_factory=list)
@@ -223,17 +267,17 @@ class _Pool:
     """Workers, queues and supervisor thread behind one executor.
 
     Everything below is guarded by ``_lock``.  Callers submit (forking
-    the workers their jobs need) and cancel; the supervisor thread
+    the workers their tasks need) and cancel; the supervisor thread
     resolves outcomes, reaps and respawns.  The pool holds no reference
     to its executor, so dropping the executor runs its finaliser
     (:meth:`close`).
     """
 
     #: Supervisor poll interval for results / liveness / timeouts while
-    #: jobs are pending.
+    #: tasks are pending.
     _POLL_S = 0.1
-    #: Consecutive idle polls with jobs pending but nothing in flight
-    #: before those jobs count as lost (covers the tiny window where a
+    #: Consecutive idle polls with tasks pending but nothing in flight
+    #: before those tasks count as lost (covers the tiny window where a
     #: worker dies between claiming a task and announcing it).
     _STALL_POLLS = 20
 
@@ -253,18 +297,20 @@ class _Pool:
         # triggered inside the supervisor's own locked section.
         self._lock = threading.RLock()
         self._tasks: Dict[int, _Task] = {}
+        #: key -> id of the pending task with that key.
+        self._task_ids: Dict[str, int] = {}
         self._next_task_id = 0
         self._workers: Dict[int, mp.process.BaseProcess] = {}
         self._next_worker_id = 0
         #: worker id -> (task id, started-at monotonic time)
         self._in_flight: Dict[int, Tuple[int, float]] = {}
-        #: (ready-at monotonic time, task id) for jobs in backoff.
+        #: (ready-at monotonic time, task id) for tasks in backoff.
         self._requeue: List[Tuple[float, int]] = []
         # Active worker target; shrinks when the OS refuses a spawn.
         self._cap = n_workers
-        # A worker may be respawned after every kill, but each job's
-        # kills are capped (quarantine), so a pathological job cannot
-        # spin the pool; every submitted job adds its share.
+        # A worker may be respawned after every kill, but each task's
+        # kills are capped (quarantine), so a pathological task cannot
+        # spin the pool; every submitted task adds its share.
         self._spawn_budget = n_workers
         self._stall_polls = 0
         self.closed = False
@@ -272,21 +318,32 @@ class _Pool:
 
     # -- caller side ---------------------------------------------------
 
-    def submit(self, jobs: Sequence[JobSpec],
-               inbox: "queue_mod.SimpleQueue") -> List[int]:
-        """Queue ``jobs``; each outcome arrives in ``inbox``."""
+    def submit(self, tasks: Sequence[Tuple[str, object]],
+               inbox: "queue_mod.SimpleQueue") -> None:
+        """Ask for ``(key, task)`` pairs; each task's outcome arrives in
+        ``inbox`` as ``(key, TaskOutcome)``.  A key already pending in
+        the pool joins that task instead of queueing a second one."""
         with self._lock:
             if self.closed:
-                raise RuntimeError("worker pool is closed")
-            task_ids = []
-            for index, job in enumerate(jobs):
+                for key, _ in tasks:
+                    inbox.put((key, TaskOutcome(
+                        "lost", error="worker pool closed before this "
+                                      "task started")))
+                return
+            fresh = 0
+            for key, task in tasks:
+                task_id = self._task_ids.get(key)
+                if task_id is not None:
+                    self._tasks[task_id].inboxes.append(inbox)
+                    continue
                 task_id = self._next_task_id
                 self._next_task_id += 1
-                self._tasks[task_id] = _Task(job, index, inbox)
+                self._tasks[task_id] = _Task(key, task, [inbox])
+                self._task_ids[key] = task_id
                 self._enqueue(task_id)
-                task_ids.append(task_id)
-            kills_per_job = _QUARANTINE_KILLS if self.retries else 1
-            self._spawn_budget += kills_per_job * len(jobs)
+                fresh += 1
+            kills_per_task = _QUARANTINE_KILLS if self.retries else 1
+            self._spawn_budget += kills_per_task * fresh
             self._cap = self.n_workers
             # Fork here rather than in the supervisor: a worker forked
             # from a non-main thread carries that thread's stack and
@@ -298,18 +355,26 @@ class _Pool:
                     name="repro-pool-supervisor")
                 self._thread.start()
         self._result_q.put(_WAKE)
-        return task_ids
 
-    def cancel(self, task_ids: Sequence[int]) -> None:
-        """Forget jobs whose caller stopped waiting for them."""
+    def cancel(self, keys: Sequence[str],
+               inbox: "queue_mod.SimpleQueue") -> None:
+        """Stop delivering ``keys`` to ``inbox``; forget tasks nobody
+        waits for any more."""
         with self._lock:
-            for task_id in task_ids:
-                self._tasks.pop(task_id, None)
+            for key in keys:
+                task_id = self._task_ids.get(key)
+                if task_id is None:
+                    continue
+                task = self._tasks[task_id]
+                if inbox in task.inboxes:
+                    task.inboxes.remove(inbox)
+                if not task.inboxes:
+                    del self._tasks[task_id], self._task_ids[key]
 
     def close(self) -> None:
         """Stop the supervisor and the workers; idempotent.
 
-        Jobs still pending come back ``lost``.  Idle workers exit at
+        Tasks still pending come back ``lost``.  Idle workers exit at
         once; a busy one gets a few seconds before it is terminated.
         """
         with self._lock:
@@ -339,7 +404,7 @@ class _Pool:
         finally:
             with self._lock:
                 self.closed = True
-                self._fail_all("worker pool closed before this job "
+                self._fail_all("worker pool closed before this task "
                                "completed")
             self._shutdown()
 
@@ -365,7 +430,7 @@ class _Pool:
         self._top_up()
         if self._tasks and not self._workers:
             self._fail_all("worker pool exhausted its respawn budget "
-                           "before this job completed")
+                           "before this task completed")
         if msgs or not self._tasks or self._in_flight or self._requeue \
                 or not self._task_q.empty():
             self._stall_polls = 0
@@ -374,11 +439,10 @@ class _Pool:
         if self._stall_polls >= self._STALL_POLLS:
             self._stall_polls = 0
             # Route the orphans through retry (or finish them lost).
-            for task_id, task in list(self._tasks.items()):
-                self._resolve(task_id, JobOutcome(
-                    task.job, "lost",
-                    error="job was claimed but its worker vanished "
-                          "before reporting"))
+            for task_id in list(self._tasks):
+                self._resolve(task_id, TaskOutcome(
+                    "lost", error="task was claimed but its worker "
+                                  "vanished before reporting"))
 
     def _handle(self, msg: tuple) -> None:
         tag = msg[0]
@@ -393,20 +457,27 @@ class _Pool:
             self._in_flight.pop(wid, None)
             task = self._tasks.get(task_id)
             if task is None:
-                return  # e.g. already timed out, or its caller left
+                return  # e.g. already timed out, or its callers left
             if tag == "done":
-                self._resolve(task_id, JobOutcome(
-                    task.job, "ok", payload=data, elapsed_s=elapsed))
+                try:
+                    out = TaskOutcome("ok", value=pickle.loads(data),
+                                      elapsed_s=elapsed)
+                except Exception:
+                    out = TaskOutcome("failed",
+                                      error=traceback.format_exc(),
+                                      elapsed_s=elapsed)
             else:
-                self._resolve(task_id, JobOutcome(
-                    task.job, "failed", error=data, elapsed_s=elapsed))
+                out = TaskOutcome("failed", error=data, elapsed_s=elapsed)
+            self._resolve(task_id, out)
 
-    def _finish(self, task_id: int, out: JobOutcome) -> None:
+    def _finish(self, task_id: int, out: TaskOutcome) -> None:
         task = self._tasks.pop(task_id)
+        del self._task_ids[task.key]
         out.attempts = task.attempts
-        task.inbox.put((task.index, out))
+        for inbox in task.inboxes:
+            inbox.put((task.key, out))
 
-    def _resolve(self, task_id: int, out: JobOutcome) -> None:
+    def _resolve(self, task_id: int, out: TaskOutcome) -> None:
         """Finish, retry, or quarantine one attempt's outcome."""
         task = self._tasks[task_id]
         if out.status in ("crashed", "timeout"):
@@ -416,9 +487,9 @@ class _Pool:
         if out.status not in RETRYABLE_STATUSES:
             self._finish(task_id, out)
         elif task.kills >= _QUARANTINE_KILLS:
-            self._finish(task_id, JobOutcome(
-                out.job, "quarantined",
-                error=(f"job killed its worker {task.kills} times and "
+            self._finish(task_id, TaskOutcome(
+                "quarantined",
+                error=(f"task killed its worker {task.kills} times and "
                        f"was quarantined\n"
                        + "\n--- earlier attempt ---\n".join(task.errors)),
                 elapsed_s=out.elapsed_s))
@@ -432,13 +503,11 @@ class _Pool:
             self._requeue.append((ready, task_id))
 
     def _fail_all(self, reason: str) -> None:
-        for task_id, task in list(self._tasks.items()):
-            self._finish(task_id, JobOutcome(task.job, "lost",
-                                             error=reason))
+        for task_id in list(self._tasks):
+            self._finish(task_id, TaskOutcome("lost", error=reason))
 
     def _enqueue(self, task_id: int) -> None:
-        job = self._tasks[task_id].job
-        self._task_q.put((task_id, job.exp_id, job.kind, dict(job.config)))
+        self._task_q.put((task_id, self._tasks[task_id].task))
 
     def _flush_requeue(self, now: float) -> None:
         due = [item for item in self._requeue if item[0] <= now]
@@ -460,9 +529,9 @@ class _Pool:
             del self._in_flight[wid]
             task = self._tasks.get(task_id)
             if task is not None:
-                self._resolve(task_id, JobOutcome(
-                    task.job, "timeout",
-                    error=f"job exceeded --timeout {self.timeout_s:g}s",
+                self._resolve(task_id, TaskOutcome(
+                    "timeout",
+                    error=f"task exceeded --timeout {self.timeout_s:g}s",
                     elapsed_s=now - t0))
 
     def _reap_crashes(self, now: float) -> None:
@@ -471,7 +540,7 @@ class _Pool:
         if not dead:
             return
         # A worker's last report reaches the pipe before its exit shows:
-        # take it first, so a job that did report is not called crashed.
+        # take it first, so a task that did report is not called crashed.
         for msg in self._receive(0):
             self._handle(msg)
         for wid in dead:
@@ -485,16 +554,16 @@ class _Pool:
                 continue
             error = (f"worker process died "
                      f"({self._describe_exit(proc.exitcode)}) "
-                     f"while running this job")
+                     f"while running this task")
             last_words = self._read_blackbox(wid, task_id)
             if last_words:
                 error += f"\n-- worker blackbox --\n{last_words}"
-            self._resolve(task_id, JobOutcome(
-                task.job, "crashed", error=error, elapsed_s=now - t0))
+            self._resolve(task_id, TaskOutcome(
+                "crashed", error=error, elapsed_s=now - t0))
 
     def _top_up(self) -> None:
         """Keep enough workers alive for the work that is left (queued
-        or backoff-waiting jobs count as unclaimed).  Idle workers stay:
+        or backoff-waiting tasks count as unclaimed).  Idle workers stay:
         the pool never shrinks on its own."""
         unclaimed = sum(1 for task in self._tasks.values()
                         if not task.started)
@@ -607,24 +676,26 @@ class PoolExecutor:
         """
         if not jobs:
             return []
+        drive = _Drive(jobs, on_outcome)
         if self.n_workers <= 1:
-            return [self._run_inline(job, on_outcome) for job in jobs]
+            todo = collections.deque(drive.start())
+            while drive.pending:
+                key, task = todo.popleft()
+                todo.extend(drive.deliver(key, _run_inline(task)))
+            return drive.outs
         pool = self._live_pool()
         inbox: "queue_mod.SimpleQueue" = queue_mod.SimpleQueue()
-        task_ids = pool.submit(jobs, inbox)
-        outs: List[Optional[JobOutcome]] = [None] * len(jobs)
-        pending = len(jobs)
         try:
-            while pending:
-                index, out = inbox.get()
-                outs[index] = out
-                pending -= 1
-                if on_outcome is not None:
-                    on_outcome(out)
+            fresh = drive.start()
+            while True:
+                if fresh:
+                    pool.submit(fresh, inbox)
+                if not drive.pending:
+                    return drive.outs
+                fresh = drive.deliver(*inbox.get())
         finally:
-            if pending:
-                pool.cancel(task_ids)
-        return outs
+            if drive.waiters:
+                pool.cancel(list(drive.waiters), inbox)
 
     def close(self) -> None:
         """Stop the worker pool (if one started); a later :meth:`run`
@@ -652,19 +723,127 @@ class PoolExecutor:
                 self._finalizer = weakref.finalize(self, self._pool.close)
             return self._pool
 
-    @staticmethod
-    def _run_inline(job: JobSpec,
-                    on_outcome: Optional[Callable[[JobOutcome], None]],
-                    ) -> JobOutcome:
-        t0 = time.perf_counter()
-        try:
-            payload = execute_job(job.exp_id, job.kind, job.config)
-        except Exception:
-            out = JobOutcome(job, "failed", error=traceback.format_exc(),
-                             elapsed_s=time.perf_counter() - t0)
-        else:
-            out = JobOutcome(job, "ok", payload=payload,
-                             elapsed_s=time.perf_counter() - t0)
-        if on_outcome is not None:
-            on_outcome(out)
-        return out
+
+def _run_inline(task) -> TaskOutcome:
+    t0 = time.perf_counter()
+    try:
+        value = task.run()
+    except Exception:
+        return TaskOutcome("failed", error=traceback.format_exc(),
+                           elapsed_s=time.perf_counter() - t0)
+    return TaskOutcome("ok", value=value,
+                       elapsed_s=time.perf_counter() - t0)
+
+
+@dataclass(eq=False)
+class _JobRun:
+    """One job of a ``run`` call, driven as a program."""
+
+    job: JobSpec
+    index: int
+    program: Generator
+    #: Keys of the program's outstanding request, in request order.
+    keys: List[str] = field(default_factory=list)
+    #: Whether that request was one task rather than a list.
+    single: bool = True
+    #: Every key the job used (an ordered set), for its cost fields.
+    used: Dict[str, None] = field(default_factory=dict)
+    sims_run: int = 0
+    sims_shared: int = 0
+    done: bool = False
+
+
+class _Drive:
+    """The job programs of one ``run`` call and the tasks they share.
+
+    :meth:`start` and :meth:`deliver` return the ``(key, task)`` pairs
+    asked for for the first time in this call, in request order, for the
+    caller to run; every other request is answered from :attr:`results`
+    or waits for the pending task.
+    """
+
+    def __init__(self, jobs: Sequence[JobSpec],
+                 on_outcome: Optional[Callable[[JobOutcome], None]]):
+        self.outs: List[Optional[JobOutcome]] = [None] * len(jobs)
+        self.pending = len(jobs)
+        #: Outcomes of the tasks finished in this call.
+        self.results: Dict[str, TaskOutcome] = {}
+        #: Pending key -> the jobs waiting for it.
+        self.waiters: Dict[str, List[_JobRun]] = {}
+        self._fresh: List[Tuple[str, object]] = []
+        self._on_outcome = on_outcome
+        self._runs = [_JobRun(job, index, job_program(job.exp_id, job.kind,
+                                                      job.config))
+                      for index, job in enumerate(jobs)]
+
+    def start(self) -> List[Tuple[str, object]]:
+        for run in self._runs:
+            self._step(run)
+        return self._take_fresh()
+
+    def deliver(self, key: str, out: TaskOutcome
+                ) -> List[Tuple[str, object]]:
+        self.results[key] = out
+        for run in self.waiters.pop(key, ()):
+            if not run.done:
+                self._step(run)
+        return self._take_fresh()
+
+    def _take_fresh(self) -> List[Tuple[str, object]]:
+        fresh, self._fresh = self._fresh, []
+        return fresh
+
+    def _step(self, run: _JobRun) -> None:
+        """Run the job's program on until it waits for a pending task,
+        or finish the job."""
+        value = None
+        while True:
+            if run.keys:
+                answers = [self.results.get(key) for key in run.keys]
+                failed = next((a for a in answers
+                               if a is not None and not a.ok), None)
+                if failed is not None:
+                    run.program.close()
+                    self._finish(run, failed.status, error=failed.error)
+                    return
+                if any(a is None for a in answers):
+                    return
+                values = [a.value for a in answers]
+                value = values[0] if run.single else values
+            try:
+                request = run.program.send(value)
+                tasks = request if isinstance(request, list) else [request]
+                run.keys = [task.key for task in tasks]
+            except StopIteration as stop:
+                self._finish(run, "ok", payload=stop.value)
+                return
+            except Exception:
+                self._finish(run, "failed", error=traceback.format_exc())
+                return
+            run.single = not isinstance(request, list)
+            for key, task in zip(run.keys, tasks):
+                simulation = not isinstance(task, WholeJob)
+                if key in self.results or key in self.waiters:
+                    run.sims_shared += simulation
+                else:
+                    self.waiters[key] = []
+                    self._fresh.append((key, task))
+                    run.sims_run += simulation
+                if key not in self.results:
+                    self.waiters[key].append(run)
+                run.used[key] = None
+
+    def _finish(self, run: _JobRun, status: str, payload=None,
+                error: Optional[str] = None) -> None:
+        run.done = True
+        used = [self.results[key] for key in run.used
+                if key in self.results]
+        out = JobOutcome(run.job, status, payload=payload, error=error,
+                         elapsed_s=sum(u.elapsed_s for u in used),
+                         attempts=sum(u.attempts for u in used),
+                         sims_run=run.sims_run,
+                         sims_shared=run.sims_shared)
+        self.outs[run.index] = out
+        self.pending -= 1
+        if self._on_outcome is not None:
+            self._on_outcome(out)

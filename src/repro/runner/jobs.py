@@ -6,25 +6,32 @@ isolation.  Experiments that expose the sweep-point protocol
 :data:`SWEEPS`) decompose into one job per sweep point; the rest run as
 a single whole-experiment job.  Either way a job is fully described by
 ``(exp_id, kind, config)`` — a declared, JSON-able config dict — which
-is what makes results content-addressable (:mod:`repro.runner.keys`) and
-lets worker processes re-resolve the work from the registry instead of
-pickling callables.
+is what makes results content-addressable (:mod:`repro.runner.keys`).
+
+A job is not the unit the worker pool runs.  :func:`job_program` turns a
+job into a program that yields *tasks*: the simulations its experiment
+function asks for (see :mod:`repro.experiments.programs`), or -- for a
+function with no program form -- one :class:`WholeJob` task that runs
+the job whole.  The pool runs each distinct task once and hands its
+result to every job that asked for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence
+from dataclasses import dataclass
+from typing import (Callable, Dict, Generator, Iterable, List, Mapping,
+                    Sequence, Tuple)
 
 from repro.experiments import registry
 from repro.experiments import (btio_exps, fault_exps, fft_exps, scf11_exps,
                                scf30_exps)
+from repro.experiments.programs import run_serial
 from repro.experiments.results import ExperimentResult
 from repro.runner.keys import job_key
 
 __all__ = ["KIND_POINT", "KIND_EXPERIMENT", "SweepSpec", "SWEEPS",
-           "JobSpec", "decompose", "decompose_many", "execute_job",
-           "assemble"]
+           "JobSpec", "WholeJob", "decompose", "decompose_many",
+           "job_program", "execute_job", "assemble"]
 
 #: Job kinds: one sweep point of a decomposed experiment vs a whole one.
 KIND_POINT = "point"
@@ -41,9 +48,11 @@ class SweepSpec:
 
 
 #: Experiments that decompose into independent sweep-point jobs.  The
-#: table experiments are one (table1, table2, table4) or few (table3,
-#: table5) simulations with interdependent aggregation, so they stay
-#: whole-experiment jobs.
+#: table experiments aggregate across their runs, so they stay
+#: whole-experiment jobs: table1 simulates nothing, table2 once, table3
+#: twice, table4 4 times (16 at full scale) and table5 11 times.  Each
+#: yields all of its runs at once, so the pool still runs them in
+#: parallel.
 SWEEPS: Dict[str, SweepSpec] = {
     "fig1": SweepSpec(scf11_exps.fig1_points, scf11_exps.fig1_run_point,
                       scf11_exps.fig1_assemble),
@@ -106,21 +115,60 @@ def decompose_many(exp_ids: Iterable[str],
     return jobs
 
 
+def _entry(exp_id: str, kind: str, config: Mapping[str, object]
+           ) -> Tuple[Callable, tuple, dict]:
+    """The registered function behind a job, and its arguments."""
+    if kind == KIND_POINT:
+        return SWEEPS[exp_id].run_point, (dict(config),), {}
+    if kind == KIND_EXPERIMENT:
+        return (registry.experiment(exp_id), (),
+                {"quick": bool(config.get("quick", False))})
+    raise ValueError(f"unknown job kind {kind!r}")
+
+
+def _payload(kind: str, result) -> dict:
+    return result.to_dict() if kind == KIND_EXPERIMENT else result
+
+
+@dataclass(frozen=True)
+class WholeJob:
+    """Task that runs a job with no program form whole."""
+
+    exp_id: str
+    kind: str
+    config: Mapping[str, object]
+
+    @property
+    def key(self) -> str:
+        return "job:" + job_key(self.exp_id, self.kind, self.config)
+
+    def run(self) -> dict:
+        fn, args, kwargs = _entry(self.exp_id, self.kind, self.config)
+        return _payload(self.kind, fn(*args, **kwargs))
+
+
+def job_program(exp_id: str, kind: str,
+                config: Mapping[str, object]) -> Generator:
+    """One job as a program that yields its tasks and returns its payload.
+
+    A function made with :func:`repro.experiments.programs.program`
+    yields its simulations; any other function (the toys tests register,
+    ``table1``) yields itself as one :class:`WholeJob`.
+    """
+    fn, args, kwargs = _entry(exp_id, kind, config)
+    gen_fn = getattr(fn, "program", None)
+    if gen_fn is None:
+        return (yield WholeJob(exp_id, kind, dict(config)))
+    return _payload(kind, (yield from gen_fn(*args, **kwargs)))
+
+
 def execute_job(exp_id: str, kind: str,
                 config: Mapping[str, object]) -> dict:
-    """Run one job, returning its JSON-able payload.
+    """Run one job in this process, returning its JSON-able payload.
 
-    This is the function worker processes execute; it re-resolves the
-    work from the registry / sweep table, so jobs cross the process
-    boundary as plain data.
+    Every simulation the job asks for is computed, in order.
     """
-    if kind == KIND_POINT:
-        return SWEEPS[exp_id].run_point(dict(config))
-    if kind == KIND_EXPERIMENT:
-        result = registry.run_experiment(
-            exp_id, quick=bool(config.get("quick", False)))
-        return result.to_dict()
-    raise ValueError(f"unknown job kind {kind!r}")
+    return run_serial(job_program(exp_id, kind, config))
 
 
 def assemble(exp_id: str, payloads: Sequence[dict],

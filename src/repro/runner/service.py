@@ -63,6 +63,16 @@ class RunReport:
     def hit_rate(self) -> float:
         return self.jobs_cached / self.jobs_total if self.outcomes else 0.0
 
+    @property
+    def simulations_run(self) -> int:
+        """Distinct simulations the computed jobs asked for."""
+        return sum(o.sims_run for o in self.outcomes)
+
+    @property
+    def simulations_shared(self) -> int:
+        """Simulation requests answered by another job's run."""
+        return sum(o.sims_shared for o in self.outcomes)
+
     def exp_wall_s(self, exp_id: str) -> float:
         """Summed job wall time of one experiment (0 for pure cache hits)."""
         return sum(o.elapsed_s for o in self.outcomes
@@ -92,6 +102,9 @@ class RunReport:
             f"{self.jobs_computed + self.jobs_failed} miss(es) "
             f"({self.hit_rate:.0%} hit rate); "
             f"wall {self.wall_s:.1f}s on {self.workers} worker(s)")
+        if self.simulations_run or self.simulations_shared:
+            lines.append(f"simulations: {self.simulations_run} run, "
+                         f"{self.simulations_shared} shared")
         retried = sum(o.attempts for o in self.outcomes)
         if retried:
             lines.append(f"retries: {retried} extra attempt(s) across "
@@ -160,8 +173,10 @@ def run_experiments(exp_ids: Optional[Iterable[str]] = None,
     - ``jobs``: worker-process count (``1`` executes inline).
     - ``use_cache=False``: neither read nor write the result store.
     - ``refresh``: ignore cached entries but store fresh results.
-    - ``timeout_s``: per-job wall-clock limit (pool mode only).
-    - ``retries``/``backoff_s``: requeue crashed/timed-out/lost jobs up
+    - ``timeout_s``: wall-clock limit on each task a worker runs -- one
+      simulation, or a whole job without a program form (pool mode
+      only).
+    - ``retries``/``backoff_s``: requeue crashed/timed-out/lost tasks up
       to ``retries`` times with exponential backoff (pool mode only;
       see :mod:`repro.runner.executor`).
     """
