@@ -67,9 +67,67 @@ class AppResult:
             return 0.0
         return volume_bytes / self.io_time / (1024 * 1024)
 
+    def to_dict(self) -> dict:
+        """Every field as JSON-able data that :meth:`from_dict` restores
+        exactly: types, float values and dict insertion orders.
+
+        Raises :class:`ValueError` for a result that cannot round-trip,
+        such as a functional FFT run's ``extra["fs"]`` or a trace that
+        keeps its records.
+        """
+        data = {
+            "app": self.app,
+            "version": self.version,
+            "n_procs": self.n_procs,
+            "n_io": self.n_io,
+            "exec_time": self.exec_time,
+            # Pairs, not a JSON object: ranks are ints, and JSON keys
+            # would come back as strings.
+            "io_time_per_rank": [[rank, t] for rank, t
+                                 in self.io_time_per_rank.items()],
+            "trace": None if self.trace is None else self.trace.to_dict(),
+            "extra": dict(self.extra),
+        }
+        _check_plain(data)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AppResult":
+        """Inverse of :meth:`to_dict`."""
+        trace = data["trace"]
+        return cls(app=data["app"], version=data["version"],
+                   n_procs=data["n_procs"], n_io=data["n_io"],
+                   exec_time=data["exec_time"],
+                   io_time_per_rank={rank: t for rank, t
+                                     in data["io_time_per_rank"]},
+                   trace=None if trace is None
+                   else TraceCollector.from_dict(trace),
+                   extra=dict(data["extra"]))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<AppResult {self.app}/{self.version} P={self.n_procs} "
                 f"exec={self.exec_time:.1f}s io={self.io_time:.1f}s>")
+
+
+#: Types JSON restores as themselves.
+_PLAIN = (str, bool, int, float, type(None))
+
+
+def _check_plain(obj: object) -> None:
+    """Raise ValueError unless ``obj`` survives a JSON round trip as is:
+    lists, str-keyed dicts and scalars of exactly the :data:`_PLAIN`
+    types (a NumPy float would come back a ``float``)."""
+    if type(obj) is list:
+        for item in obj:
+            _check_plain(item)
+    elif type(obj) is dict:
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise ValueError(f"non-string key {key!r}")
+            _check_plain(value)
+    elif type(obj) not in _PLAIN:
+        raise ValueError(f"{type(obj).__name__} value does not round-trip "
+                         f"through JSON")
 
 
 def run_spmd(machine: Machine, n_procs: int, program: Callable,

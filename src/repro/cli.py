@@ -323,9 +323,11 @@ def _cmd_serve(args) -> int:
     # --jobs >= 2 they share one pool of --jobs crash-isolated worker
     # processes (the simulations are CPU-bound pure Python, so threads
     # alone would serialize).  The engine leaves the pool to us.
-    executor = PoolExecutor(jobs=args.jobs, timeout_s=args.timeout)
+    store = None if args.no_cache else ResultStore(args.cache_dir)
+    executor = PoolExecutor(jobs=args.jobs, timeout_s=args.timeout,
+                            store=store)
     engine = ServeEngine(
-        store=None if args.no_cache else ResultStore(args.cache_dir),
+        store=store,
         executor=executor,
         max_queue=args.queue,
         dispatchers=max(1, args.jobs),
@@ -377,10 +379,13 @@ def _cmd_cache(args) -> int:
 
     store = ResultStore(args.cache_dir)
     if args.cache_command == "stats":
-        count = store.count()
-        size = store.size_bytes()
+        census = store.census()
+        count = sum(n for n, _ in census.values())
+        size = sum(n_bytes for _, n_bytes in census.values())
         print(f"cache root: {store.root}")
         print(f"entries: {count}  ({size / 1024:.1f} KB)")
+        for name, (n, n_bytes) in census.items():
+            print(f"  {name}: {n}  ({n_bytes / 1024:.1f} KB)")
         last = store.read_last_run()
         if last:
             print(f"last run: {last.get('jobs', 0)} job(s), "

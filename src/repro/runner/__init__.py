@@ -26,7 +26,8 @@ from repro.runner.jobs import (
     decompose_many,
     execute_job,
 )
-from repro.runner.keys import canonical_json, code_fingerprint, job_key
+from repro.runner.keys import (canonical_json, code_fingerprint, job_key,
+                               simulation_key)
 from repro.runner.progress import ProgressTracker, render_summary_table
 from repro.runner.service import RunReport, run_cached, run_experiments
 from repro.runner.store import DEFAULT_ROOT, CacheStats, ResultStore
@@ -46,6 +47,7 @@ __all__ = [
     "canonical_json",
     "code_fingerprint",
     "job_key",
+    "simulation_key",
     "ProgressTracker",
     "render_summary_table",
     "RunReport",

@@ -16,6 +16,19 @@ and ``attempts`` are summed over the tasks it used, a shared task
 counting for every job that used it, so ``elapsed_s`` stays the cost of
 recomputing that job alone.
 
+Given a :class:`~repro.runner.store.ResultStore` at construction, the
+executor also persists simulation results, so sharing reaches across
+calls, runs and processes.  A simulation neither finished nor pending
+in the call is first looked up in the store under
+:func:`~repro.runner.keys.simulation_key`; a valid entry answers it
+without a task, and counts its recorded ``elapsed_s``.  A simulation
+that finishes ok is written back in the calling thread (every call that
+waited for it writes the same entry).  A result that cannot round-trip
+through JSON (:meth:`repro.apps.AppResult.to_dict`) is used but not
+stored.  With ``refresh=True`` the executor reads no simulation entries
+and overwrites those of the simulations it runs.  Simulation lookups
+leave the store's job hit/miss counters alone.
+
 In pool mode (``jobs >= 2``) an executor owns **one pool**: N worker
 processes, one task queue and one result queue.  The workers are forked
 lazily by the first :meth:`PoolExecutor.run` and serve every later call
@@ -92,7 +105,10 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Generator, List, Optional, Sequence,
                     Tuple)
 
+from repro.apps import AppResult, Simulation
 from repro.runner.jobs import JobSpec, WholeJob, job_program
+from repro.runner.keys import simulation_key
+from repro.runner.store import ResultStore
 
 __all__ = ["JobOutcome", "PoolExecutor", "RETRYABLE_STATUSES",
            "TaskOutcome", "backoff_delay"]
@@ -137,11 +153,15 @@ class JobOutcome:
     cached: bool = False
     #: Retries the job's tasks consumed before reaching their status.
     attempts: int = 0
-    #: Simulations this job was the first in its ``run`` call to ask for.
+    #: Simulations this job was the first in its ``run`` call to ask for
+    #: and that the result store did not hold, so they were run.
     sims_run: int = 0
     #: Simulations it asked for that another job of the call asked for
     #: first, and so got without running them again.
     sims_shared: int = 0
+    #: Simulations it was the first to ask for that the result store
+    #: answered.
+    sims_cached: int = 0
 
     @property
     def ok(self) -> bool:
@@ -645,13 +665,21 @@ class PoolExecutor:
     every :meth:`run` call, from any thread, until :meth:`close`.  Use
     it as a context manager, or call :meth:`close`; an executor dropped
     without either is closed by a finaliser.
+
+    ``store`` persists simulation results (the caller's own store, which
+    holds its job entries too); ``refresh=True`` writes them without
+    reading any.
     """
 
     def __init__(self, jobs: int = 1, timeout_s: Optional[float] = None,
                  context: Optional[mp.context.BaseContext] = None,
                  retries: int = 0, backoff_s: float = 1.0,
-                 rand: Callable[[], float] = random.random):
+                 rand: Callable[[], float] = random.random,
+                 store: Optional[ResultStore] = None,
+                 refresh: bool = False):
         self.n_workers = max(1, int(jobs))
+        self.store = store
+        self.refresh = refresh
         self.timeout_s = timeout_s
         self.retries = max(0, int(retries))
         self.backoff_s = max(0.0, float(backoff_s))
@@ -676,17 +704,19 @@ class PoolExecutor:
         """
         if not jobs:
             return []
-        drive = _Drive(jobs, on_outcome)
+        drive = _Drive(jobs, on_outcome, self.store, self.refresh)
         if self.n_workers <= 1:
             todo = collections.deque(drive.start())
             while drive.pending:
                 key, task = todo.popleft()
                 todo.extend(drive.deliver(key, _run_inline(task)))
             return drive.outs
+        fresh = drive.start()
+        if not drive.pending:    # nothing to run: no pool needed
+            return drive.outs
         pool = self._live_pool()
         inbox: "queue_mod.SimpleQueue" = queue_mod.SimpleQueue()
         try:
-            fresh = drive.start()
             while True:
                 if fresh:
                     pool.submit(fresh, inbox)
@@ -750,6 +780,7 @@ class _JobRun:
     used: Dict[str, None] = field(default_factory=dict)
     sims_run: int = 0
     sims_shared: int = 0
+    sims_cached: int = 0
     done: bool = False
 
 
@@ -757,13 +788,14 @@ class _Drive:
     """The job programs of one ``run`` call and the tasks they share.
 
     :meth:`start` and :meth:`deliver` return the ``(key, task)`` pairs
-    asked for for the first time in this call, in request order, for the
-    caller to run; every other request is answered from :attr:`results`
-    or waits for the pending task.
+    asked for for the first time in this call and not answered by the
+    store, in request order, for the caller to run; every other request
+    is answered from :attr:`results` or waits for the pending task.
     """
 
     def __init__(self, jobs: Sequence[JobSpec],
-                 on_outcome: Optional[Callable[[JobOutcome], None]]):
+                 on_outcome: Optional[Callable[[JobOutcome], None]],
+                 store: Optional[ResultStore], refresh: bool):
         self.outs: List[Optional[JobOutcome]] = [None] * len(jobs)
         self.pending = len(jobs)
         #: Outcomes of the tasks finished in this call.
@@ -772,6 +804,10 @@ class _Drive:
         self.waiters: Dict[str, List[_JobRun]] = {}
         self._fresh: List[Tuple[str, object]] = []
         self._on_outcome = on_outcome
+        self._store = store
+        self._read_store = store is not None and not refresh
+        #: Pending simulation key -> its store key, to write it back.
+        self._unstored: Dict[str, str] = {}
         self._runs = [_JobRun(job, index, job_program(job.exp_id, job.kind,
                                                       job.config))
                       for index, job in enumerate(jobs)]
@@ -784,6 +820,9 @@ class _Drive:
     def deliver(self, key: str, out: TaskOutcome
                 ) -> List[Tuple[str, object]]:
         self.results[key] = out
+        store_key = self._unstored.pop(key, None)
+        if store_key is not None and out.ok:
+            self._store_result(store_key, out)
         for run in self.waiters.pop(key, ()):
             if not run.done:
                 self._step(run)
@@ -825,6 +864,8 @@ class _Drive:
                 simulation = not isinstance(task, WholeJob)
                 if key in self.results or key in self.waiters:
                     run.sims_shared += simulation
+                elif self._from_store(key, task):
+                    run.sims_cached += 1
                 else:
                     self.waiters[key] = []
                     self._fresh.append((key, task))
@@ -832,6 +873,39 @@ class _Drive:
                 if key not in self.results:
                     self.waiters[key].append(run)
                 run.used[key] = None
+
+    def _from_store(self, key: str, task: object) -> bool:
+        """Answer a first-asked simulation from the store, if it has a
+        valid entry; otherwise mark it to be written back."""
+        if self._store is None or not isinstance(task, Simulation):
+            return False
+        store_key = simulation_key(key)
+        entry = self._store.load(store_key) if self._read_store else None
+        if entry is not None:
+            try:
+                value = AppResult.from_dict(entry["payload"])
+                elapsed_s = float(entry["elapsed_s"])
+            except (KeyError, TypeError, ValueError):
+                # Checksummed but not a result: evict, never serve.
+                self._store.discard(store_key)
+            else:
+                self.results[key] = TaskOutcome("ok", value=value,
+                                                elapsed_s=elapsed_s)
+                return True
+        self._unstored[key] = store_key
+        return False
+
+    def _store_result(self, store_key: str, out: TaskOutcome) -> None:
+        result = out.value
+        try:
+            payload = result.to_dict()
+        except ValueError:
+            return      # cannot round-trip exactly: used, not stored
+        try:
+            self._store.put(store_key, payload, kind="simulation",
+                            app=result.app, elapsed_s=out.elapsed_s)
+        except OSError:
+            pass        # unwritable cache: the run goes on without it
 
     def _finish(self, run: _JobRun, status: str, payload=None,
                 error: Optional[str] = None) -> None:
@@ -842,7 +916,8 @@ class _Drive:
                          elapsed_s=sum(u.elapsed_s for u in used),
                          attempts=sum(u.attempts for u in used),
                          sims_run=run.sims_run,
-                         sims_shared=run.sims_shared)
+                         sims_shared=run.sims_shared,
+                         sims_cached=run.sims_cached)
         self.outs[run.index] = out
         self.pending -= 1
         if self._on_outcome is not None:

@@ -1,11 +1,13 @@
-"""Content-addressed cache keys for runner jobs.
+"""Content-addressed cache keys for runner jobs and simulations.
 
 A job's key is the SHA-256 of the canonicalized JSON of its identity:
 the experiment id, the job kind, the declared config dict, and a code
-fingerprint derived from :data:`repro.__version__`.  Bumping the package
-version therefore invalidates every cached result; ``REPRO_CACHE_SALT``
-gives the same lever to local experiments that change simulation
-behavior without a version bump.
+fingerprint derived from :data:`repro.__version__`.  A simulation's
+store key is the SHA-256 of its spec key
+(:attr:`repro.apps.Simulation.key`) and the same fingerprint.  Bumping
+the package version therefore invalidates every cached result;
+``REPRO_CACHE_SALT`` gives the same lever to local experiments that
+change simulation behavior without a version bump.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Mapping
 
 from repro._version import __version__
 
-__all__ = ["canonical_json", "code_fingerprint", "job_key"]
+__all__ = ["canonical_json", "code_fingerprint", "job_key",
+           "simulation_key"]
 
 
 def canonical_json(obj: object) -> str:
@@ -53,4 +56,12 @@ def job_key(exp_id: str, kind: str, config: Mapping[str, object]) -> str:
         "config": dict(config),
         "code": code_fingerprint(),
     })
+    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
+def simulation_key(sim_key: str) -> str:
+    """SHA-256 store key of one simulation's result: its spec key
+    (:attr:`repro.apps.Simulation.key`) plus the code fingerprint."""
+    blob = canonical_json({"simulation": sim_key,
+                           "code": code_fingerprint()})
     return hashlib.sha256(blob.encode("ascii")).hexdigest()

@@ -3,8 +3,9 @@
 :func:`run_experiments` is the runner's front door.  It decomposes the
 requested experiments into jobs, satisfies what it can from the
 content-addressed store, pushes the rest through the
-:class:`~repro.runner.executor.PoolExecutor`, stores every fresh
-payload, and folds each experiment's payloads back into an
+:class:`~repro.runner.executor.PoolExecutor` (which answers the
+simulations the store holds and stores the ones it runs), stores every
+fresh payload, and folds each experiment's payloads back into an
 :class:`~repro.experiments.results.ExperimentResult`.
 
 Resumability falls out of the cache: a partially failed run has stored
@@ -65,13 +66,19 @@ class RunReport:
 
     @property
     def simulations_run(self) -> int:
-        """Distinct simulations the computed jobs asked for."""
+        """Distinct simulations the computed jobs ran (not shared or
+        read from the store)."""
         return sum(o.sims_run for o in self.outcomes)
 
     @property
     def simulations_shared(self) -> int:
         """Simulation requests answered by another job's run."""
         return sum(o.sims_shared for o in self.outcomes)
+
+    @property
+    def simulations_cached(self) -> int:
+        """Simulations answered from the result store."""
+        return sum(o.sims_cached for o in self.outcomes)
 
     def exp_wall_s(self, exp_id: str) -> float:
         """Summed job wall time of one experiment (0 for pure cache hits)."""
@@ -102,9 +109,11 @@ class RunReport:
             f"{self.jobs_computed + self.jobs_failed} miss(es) "
             f"({self.hit_rate:.0%} hit rate); "
             f"wall {self.wall_s:.1f}s on {self.workers} worker(s)")
-        if self.simulations_run or self.simulations_shared:
+        if self.simulations_run or self.simulations_shared \
+                or self.simulations_cached:
             lines.append(f"simulations: {self.simulations_run} run, "
-                         f"{self.simulations_shared} shared")
+                         f"{self.simulations_shared} shared, "
+                         f"{self.simulations_cached} cached")
         retried = sum(o.attempts for o in self.outcomes)
         if retried:
             lines.append(f"retries: {retried} extra attempt(s) across "
@@ -171,8 +180,10 @@ def run_experiments(exp_ids: Optional[Iterable[str]] = None,
     """Run experiments through the cache-aware parallel runner.
 
     - ``jobs``: worker-process count (``1`` executes inline).
-    - ``use_cache=False``: neither read nor write the result store.
-    - ``refresh``: ignore cached entries but store fresh results.
+    - ``use_cache=False``: neither read nor write the result store --
+      job entries or simulation entries.
+    - ``refresh``: ignore cached job and simulation entries but store
+      fresh results, overwriting the entries of what it recomputes.
     - ``timeout_s``: wall-clock limit on each task a worker runs -- one
       simulation, or a whole job without a program form (pool mode
       only).
@@ -215,7 +226,8 @@ def run_experiments(exp_ids: Optional[Iterable[str]] = None,
                 progress.job_done(out)
 
         with PoolExecutor(jobs=jobs, timeout_s=timeout_s, retries=retries,
-                          backoff_s=backoff_s) as executor:
+                          backoff_s=backoff_s, store=store,
+                          refresh=refresh) as executor:
             for out in executor.run(to_run, on_outcome=on_outcome):
                 outcomes[out.job.job_id] = out
 
@@ -256,10 +268,13 @@ def run_experiments(exp_ids: Optional[Iterable[str]] = None,
 
 def run_cached(exp_id: str, quick: bool = False,
                store: Optional[ResultStore] = None) -> ExperimentResult:
-    """Run one experiment through the cache; raises if any job failed.
+    """Run one experiment inline through the cache; raises if any job
+    failed.
 
-    The benchmark harness uses this so repeated invocations reuse the
-    stored simulations.
+    The benchmark harness (``benchmarks/``) uses this: a repeated call
+    is answered from the stored job payloads, and an experiment whose
+    simulations an earlier one already ran (fig7's are fig6's) reads
+    them from the store instead of running them again.
     """
     report = run_experiments([exp_id], quick=quick, jobs=1, store=store)
     if exp_id in report.errors:

@@ -1,19 +1,23 @@
 """Persistent, content-addressed result store under ``.repro-cache/``.
 
-Entries live at ``objects/<key[:2]>/<key>.json`` where ``key`` is the
-job's SHA-256 (:mod:`repro.runner.keys`).  Writes are atomic (temp file
+Entries live at ``objects/<key[:2]>/<key>.json``.  There are two
+kinds, told apart by the entry's ``kind`` field: job entries, keyed by
+the job's SHA-256, and simulation entries (``kind: "simulation"``),
+keyed by :func:`repro.runner.keys.simulation_key` and holding one
+:meth:`repro.apps.AppResult.to_dict`.  Writes are atomic (temp file
 + ``os.replace``) so a crashed or concurrent run can never leave a
 half-written entry; readers treat any unreadable entry as a miss.  The
 store keeps per-instance hit/miss/store/eviction counters and supports
 LRU eviction by entry mtime (``get`` touches entries).
 
 Every entry carries a SHA-256 checksum of its payload
-(:func:`payload_checksum`).  ``get`` verifies it — an entry that parses
-but is structurally wrong or fails its checksum (bit rot, a truncated
-copy, a half-written file from a pre-atomic-write version) is evicted
-on the spot and reported as a miss, so the job is simply recomputed
-instead of poisoning assembly.  Legacy entries without a checksum field
-are accepted as-is.
+(:func:`payload_checksum`) and the key it was stored under.  ``get``
+verifies both — an entry that parses but is structurally wrong, fails
+its checksum (bit rot, a truncated copy, a half-written file from a
+pre-atomic-write version) or records another key (a copied or misplaced
+file) is evicted on the spot and reported as a miss, so the job is
+simply recomputed instead of poisoning assembly.  Legacy entries
+without a checksum or key field are accepted as-is.
 
 The store is safe to share between threads (the serving engine's
 dispatchers all read and write one instance): entries are only ever
@@ -79,7 +83,8 @@ class CacheStats:
 
 
 class ResultStore:
-    """Content-addressed JSON store for job payloads."""
+    """Content-addressed JSON store for job payloads and simulation
+    results."""
 
     def __init__(self, root: Optional[os.PathLike] = None):
         self.root = Path(root if root is not None
@@ -98,47 +103,60 @@ class ResultStore:
         return self.root / "objects" / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[dict]:
-        """Validated cache entry for ``key``, or None (hit/miss counted).
+        """Validated job entry for ``key``, or None (hit/miss counted).
 
         An entry that exists but is unparseable, structurally wrong
-        (no ``payload`` dict), or fails its payload checksum is deleted
-        and counted as corrupt + miss — the caller recomputes the job
-        and the next ``put`` replaces the bad file.
+        (no ``payload`` dict), fails its payload checksum or records
+        another key is deleted and counted as corrupt + miss — the
+        caller recomputes the job and the next ``put`` replaces the bad
+        file.
         """
+        entry = self.load(key)
+        if entry is None:
+            self._count(misses=1)
+        else:
+            self._count(hits=1)
+        return entry
+
+    def load(self, key: str) -> Optional[dict]:
+        """:meth:`get` without the hit/miss count, for simulation
+        entries: the counters stay those of job lookups.  A corrupt
+        entry is still evicted and counted."""
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="ascii") as fh:
                 entry = json.load(fh)
         except FileNotFoundError:
-            self._count(misses=1)
             return None
         except (OSError, ValueError):
-            self._evict_corrupt(path)
+            self.discard(key)
             return None
-        if not self._entry_valid(entry):
-            self._evict_corrupt(path)
+        if not self._entry_valid(entry, key):
+            self.discard(key)
             return None
         try:
             os.utime(path)  # LRU recency for evict()
         except OSError:
             pass
-        self._count(hits=1)
         return entry
 
     @staticmethod
-    def _entry_valid(entry: object) -> bool:
+    def _entry_valid(entry: object, key: str) -> bool:
         if not isinstance(entry, dict) or not isinstance(
                 entry.get("payload"), dict):
+            return False
+        if entry.get("key", key) != key:    # legacy entries have none
             return False
         stored = entry.get("sha256")
         if stored is None:    # legacy pre-checksum entry
             return True
         return stored == payload_checksum(entry["payload"])
 
-    def _evict_corrupt(self, path: Path) -> None:
-        self._count(misses=1, corrupt=1)
+    def discard(self, key: str) -> None:
+        """Evict ``key``'s entry as corrupt (counted, not a miss)."""
+        self._count(corrupt=1)
         try:
-            path.unlink()
+            self.path_for(key).unlink()
             self._count(evictions=1)
         except OSError:
             pass
@@ -184,6 +202,24 @@ class ResultStore:
             except OSError:
                 continue
             yield path, path.stem, stat.st_mtime, stat.st_size
+
+    def census(self) -> Dict[str, Tuple[int, int]]:
+        """``{"jobs": (count, bytes), "simulations": (count, bytes)}``.
+
+        Reads every entry for its ``kind``; an unreadable one counts as
+        a job entry.
+        """
+        totals = {"jobs": [0, 0], "simulations": [0, 0]}
+        for path, _, _, size in self.entries():
+            try:
+                with open(path, encoding="ascii") as fh:
+                    kind = json.load(fh).get("kind")
+            except (OSError, ValueError, AttributeError):
+                kind = None
+            row = totals["simulations" if kind == "simulation" else "jobs"]
+            row[0] += 1
+            row[1] += size
+        return {name: (n, size) for name, (n, size) in totals.items()}
 
     def count(self) -> int:
         return sum(1 for _ in self.entries())

@@ -13,7 +13,9 @@ the engine resolves it in this order:
 3. **Compute** — the job enters a *bounded* work queue consumed by
    dispatcher threads, each of which pushes the job through a shared
    :class:`~repro.runner.executor.PoolExecutor` and stores the fresh
-   payload back into the cache.  A full queue raises
+   payload back into the cache.  An executor built with the engine's
+   store (the default one is) answers the job's stored simulations
+   from it and runs only the others.  A full queue raises
    :class:`EngineSaturated`, which the HTTP layer maps to 429.
 
 All coordination is plain threading; the asyncio server awaits the
@@ -119,7 +121,7 @@ class ServeEngine:
         self.store: Optional[ResultStore] = (
             ResultStore() if store is _DEFAULT_STORE else store)
         self.executor = executor if executor is not None \
-            else PoolExecutor(jobs=1)
+            else PoolExecutor(jobs=1, store=self.store)
         self.max_queue = max(1, int(max_queue))
         self.n_dispatchers = max(1, int(dispatchers))
         self.retry_after_s = retry_after_s

@@ -133,8 +133,10 @@ def main_warm(args) -> int:
     # they share one pool of --jobs crash-isolated worker processes
     # (pure-Python simulation is CPU-bound, so inline threads alone
     # would serialize on the GIL).
-    executor = PoolExecutor(jobs=args.jobs, timeout_s=args.timeout)
-    engine = ServeEngine(store=ResultStore(args.cache_dir),
+    store = ResultStore(args.cache_dir)
+    executor = PoolExecutor(jobs=args.jobs, timeout_s=args.timeout,
+                            store=store)
+    engine = ServeEngine(store=store,
                          executor=executor,
                          dispatchers=max(1, args.jobs))
     try:

@@ -115,6 +115,30 @@ class TraceCollector:
         if self.keep_records and other.keep_records:
             self.records.extend(other.records)
 
+    # -- persistence -------------------------------------------------------------
+    def to_dict(self) -> dict:
+        """The aggregates as JSON-able lists, in insertion order.
+
+        Raises :class:`ValueError` for a collector that keeps records:
+        those are not stored, so the round trip would lose them.
+        """
+        if self.keep_records:
+            raise ValueError("a trace that keeps its records is not stored")
+        return {"ops": [[op.value, agg.count, agg.time, agg.nbytes]
+                        for op, agg in self._agg.items()],
+                "ranks": [[rank, t]
+                          for rank, t in self._per_rank_io_time.items()]}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TraceCollector":
+        """Inverse of :meth:`to_dict`."""
+        trace = cls()
+        for name, count, time, nbytes in data["ops"]:
+            trace._agg[IOOp(name)] = OpAggregate(count, time, nbytes)
+        for rank, t in data["ranks"]:
+            trace._per_rank_io_time[rank] = t
+        return trace
+
     def reset(self) -> None:
         self.records.clear()
         self._agg.clear()
